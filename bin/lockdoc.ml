@@ -3,7 +3,7 @@
     Subcommands follow the paper's pipeline (Fig. 5): [trace] records an
     execution of the simulated kernel, [import] post-processes a trace,
     [derive]/[doc]/[check]/[violations] are the phase-❷/❸ tools, and
-    [repro] regenerates the evaluation tables and figures. *)
+    [repro] regenerates the evaluation tables, figures and ablations. *)
 
 open Cmdliner
 
@@ -946,8 +946,9 @@ let profile_cmd =
 let repro_cmd =
   let ids_arg =
     Arg.(value & pos_all string [] & info [] ~docv:"ID"
-           ~doc:"Experiment ids (fig1, tab1..tab8, fig7, fig8, sec72, \
-                 sanitize, lint); default: all.")
+           ~doc:
+             (Printf.sprintf "Experiment ids (%s); default: all."
+                (String.concat ", " Registry.ids)))
   in
   let run scale seed ids metrics =
     with_metrics metrics @@ fun () ->

@@ -83,7 +83,9 @@ let load path =
           let crc =
             Int32.to_int (String.get_int32_le hdr 4) land 0xFFFFFFFF
           in
-          if len < 0 then None
+          (* A corrupt length must not turn into a huge allocation:
+             the blob can be no longer than what is left of the file. *)
+          if len < 0 || len > in_channel_length ic - pos_in ic then None
           else
             let blob = really_input_string ic len in
             if Wal.crc32 blob <> crc then None

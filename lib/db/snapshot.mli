@@ -38,8 +38,10 @@ val save : dir:string -> payload -> unit
     op logger during marshalling (closures don't serialise). *)
 
 val load : string -> payload option
-(** [None] on any damage: missing file, bad magic, short read,
-    checksum mismatch, unmarshalable blob. Never raises. *)
+(** [None] on any damage: missing file, bad magic, short read, a
+    length field longer than the rest of the file (rejected before any
+    allocation of that size), checksum mismatch, unmarshalable blob.
+    Never raises. *)
 
 val latest_loadable : dir:string -> payload option
 (** Newest snapshot in [dir] that loads cleanly. *)

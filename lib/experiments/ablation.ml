@@ -236,11 +236,3 @@ let render_lockdep (ctx : Context.t) =
   ^ Lockdoc_core.Lockdep.render report
   ^ "(lockdep validates acquisition order per class; it cannot say which\n\
      members a lock protects — the complementary question LockDoc answers)"
-
-let render_all ctx =
-  String.concat "\n\n"
-    [
-      render_irq ctx; render_wor ctx; render_selection ctx;
-      render_subclass ctx; render_sides ctx; render_corruption ctx;
-      render_lockdep ctx;
-    ]

@@ -95,6 +95,66 @@ let all =
       needs_context = false;
       render = without_ctx Lint_exp.render;
     };
+    {
+      id = "ablation-irq";
+      title = "Ablation: IRQ handling in transaction reconstruction";
+      needs_context = true;
+      render = with_ctx Ablation.render_irq;
+    };
+    {
+      id = "ablation-wor";
+      title = "Ablation: write-over-read folding";
+      needs_context = true;
+      render = with_ctx Ablation.render_wor;
+    };
+    {
+      id = "ablation-selection";
+      title = "Ablation: winner-selection strategy";
+      needs_context = true;
+      render = with_ctx Ablation.render_selection;
+    };
+    {
+      id = "ablation-subclass";
+      title = "Ablation: subclass-aware derivation for struct inode";
+      needs_context = true;
+      render = with_ctx Ablation.render_subclass;
+    };
+    {
+      id = "ablation-sides";
+      title = "Ablation: reader/writer side sensitivity";
+      needs_context = true;
+      render = with_ctx Ablation.render_sides;
+    };
+    {
+      id = "ablation-corruption";
+      title = "Ablation: ingestion resilience under trace corruption";
+      needs_context = true;
+      render = with_ctx Ablation.render_corruption;
+    };
+    {
+      id = "lockdep";
+      title = "Baseline: lockdep-style lock-order analysis";
+      needs_context = true;
+      render = with_ctx Ablation.render_lockdep;
+    };
+    {
+      id = "relations";
+      title = "Extension: cross-object protection relations";
+      needs_context = true;
+      render =
+        with_ctx (fun c ->
+            Lockdoc_core.Relations.render
+              (Lockdoc_core.Relations.analyse c.Context.mined));
+    };
+    {
+      id = "lockmeter";
+      title = "Baseline: lockmeter-style lock statistics";
+      needs_context = true;
+      render =
+        with_ctx (fun c ->
+            Lockdoc_core.Lockmeter.render
+              (Lockdoc_core.Lockmeter.analyse c.Context.trace c.Context.store));
+    };
   ]
 
 let find id = List.find_opt (fun e -> e.id = id) all

@@ -4,10 +4,10 @@
    behind four entry points — [accept], [on_bytes], [on_close], [step]
    — that take the current time as an argument and return a list of
    transport actions. No sockets, no clocks, no threads: the Unix
-   front end ({!Sockserv}) and the connection-chaos harness ({!Chaos})
-   drive the very same state machine, one with real file descriptors
-   and the monotonic clock ({!Mono}), the other with scripted faults
-   and virtual time. That is what makes every failure mode injectable
+   front end ({!Sockserv}) and the test suite's connection-chaos harness
+   (test/chaos.ml) drive the very same state machine, one with real file
+   descriptors and the monotonic clock ({!Mono}), the other with
+   scripted faults and virtual time. That is what makes every failure mode injectable
    and every outcome assertable. The one concession to concurrency is
    the seal: derivation runs wherever the injected [runner] puts it
    (an analysis domain, a deferred virtual tick, or inline), and its

@@ -11,9 +11,9 @@
       timeouts, session GC.
 
     The Unix socket front end ({!Sockserv}) drives it with real file
-    descriptors and the monotonic clock ({!Mono}); the chaos harness
-    ({!Chaos}) drives the identical machine with scripted faults and
-    virtual time.
+    descriptors and the monotonic clock ({!Mono}); the test suite's
+    chaos harness (test/chaos.ml) drives the identical machine with
+    scripted faults and virtual time.
 
     {2 Fault isolation}
 

@@ -273,6 +273,49 @@ let test_fsck_detects_binary () =
       check Alcotest.bool "torn tail diagnosed" true
         (contains out "reader anomalies"))
 
+(* `repro` is the one entry point that regenerates the evaluation; the
+   ablations and baselines are ordinary ids. Each id's section opens
+   with a fixed first line, and must carry more than that line. *)
+let test_repro_ids () =
+  let sections =
+    [
+      ("ablation-wor", "Ablation: write-over-read folding");
+      ("lockdep", "Baseline: lockdep-style lock-order analysis");
+      ("relations", "cross-object protection relations");
+      ("lockmeter", "lockmeter:");
+    ]
+  in
+  let code, out, _ =
+    run ("repro" :: "--scale" :: "1" :: List.map fst sections)
+  in
+  check Alcotest.int "exit 0" 0 code;
+  let lines = Array.of_list (String.split_on_char '\n' out) in
+  let rec find id header i =
+    if i >= Array.length lines then
+      Alcotest.failf "repro %s: section missing or out of order" id
+    else if String.starts_with ~prefix:header lines.(i) then i
+    else find id header (i + 1)
+  in
+  ignore
+    (List.fold_left
+       (fun from (id, header) ->
+         let i = find id header from in
+         check Alcotest.bool (id ^ " section has a body") true
+           (i + 1 < Array.length lines && String.trim lines.(i + 1) <> "");
+         i + 1)
+       0 sections)
+
+let test_repro_unknown_id () =
+  let code, _, err = run [ "repro"; "nope" ] in
+  check Alcotest.int "exit 1" 1 code;
+  List.iter
+    (fun id -> check Alcotest.bool ("stderr lists " ^ id) true (contains err id))
+    [
+      "ablation-irq"; "ablation-wor"; "ablation-selection"; "ablation-subclass";
+      "ablation-sides"; "ablation-corruption"; "lockdep"; "relations";
+      "lockmeter";
+    ]
+
 let () =
   Alcotest.run "cli"
     [
@@ -308,5 +351,11 @@ let () =
             test_unpack_rejects_text;
           Alcotest.test_case "fsck detects binary traces" `Quick
             test_fsck_detects_binary;
+        ] );
+      ( "repro",
+        [
+          Alcotest.test_case "ablation and baseline ids" `Quick test_repro_ids;
+          Alcotest.test_case "unknown id lists the ids" `Quick
+            test_repro_unknown_id;
         ] );
     ]

@@ -289,8 +289,8 @@ let test_snapshot_roundtrip_all_families () =
             (mined back))
     Run.workload_names
 
-let test_snapshot_corruption () =
-  with_dir "lockdoc_snap" @@ fun dir ->
+(* Saves one small snapshot into [dir] and returns its path. *)
+let save_small_snapshot dir =
   let trace = Run.workload_trace ~seed:11 ~scale:1 "fsstress" in
   let store, _ = Import.run trace in
   let meta =
@@ -305,7 +305,11 @@ let test_snapshot_corruption () =
   in
   Snapshot.save ~dir
     { Snapshot.p_meta = meta; p_store = store; p_engine = None; p_stats = None };
-  let path = Filename.concat dir meta.Snapshot.m_snapshot in
+  Filename.concat dir meta.Snapshot.m_snapshot
+
+let test_snapshot_corruption () =
+  with_dir "lockdoc_snap" @@ fun dir ->
+  let path = save_small_snapshot dir in
   let good = read_file path in
   (* Bit flip in the payload: checksum must catch it. *)
   let bad = Bytes.of_string good in
@@ -321,6 +325,26 @@ let test_snapshot_corruption () =
   (* Wrong magic. *)
   write_file path ("NOTASNAPSHOT\n" ^ good);
   check Alcotest.bool "bad magic rejected" true (Snapshot.load path = None)
+
+(* A header whose length field claims ~2 GiB must be rejected before
+   the read, not by an End_of_file after allocating the claimed size. *)
+let test_snapshot_oversized_length () =
+  with_dir "lockdoc_snap" @@ fun dir ->
+  let magic = "LOCKDOCSNAP1\n" in
+  let path = save_small_snapshot dir in
+  check Alcotest.bool "saved snapshot starts with the magic" true
+    (String.starts_with ~prefix:magic (read_file path));
+  let hdr = Bytes.make 8 '\000' in
+  Bytes.set_int32_le hdr 0 0x7FFFFFFFl;
+  write_file path (magic ^ Bytes.to_string hdr ^ "short payload");
+  let before = Gc.allocated_bytes () in
+  let loaded = Snapshot.load path in
+  let grown = Gc.allocated_bytes () -. before in
+  check Alcotest.bool "oversized length rejected" true (loaded = None);
+  check Alcotest.bool
+    (Printf.sprintf "allocated %.0f bytes, under 1 MiB" grown)
+    true
+    (grown < 1048576.)
 
 let test_manifest_roundtrip () =
   with_dir "lockdoc_manifest" @@ fun dir ->
@@ -528,6 +552,8 @@ let () =
             test_snapshot_roundtrip_all_families;
           Alcotest.test_case "corruption rejected" `Quick
             test_snapshot_corruption;
+          Alcotest.test_case "oversized length rejected" `Quick
+            test_snapshot_oversized_length;
           Alcotest.test_case "manifest" `Quick test_manifest_roundtrip;
         ] );
       ( "store",

@@ -203,7 +203,10 @@ let test_registry_complete () =
     (Alcotest.list Alcotest.string)
     "every paper artifact is registered"
     [ "fig1"; "tab1"; "tab2"; "tab3"; "sec72"; "tab4"; "tab5"; "tab6";
-      "fig7"; "fig8"; "tab7"; "tab8"; "sanitize"; "lint" ]
+      "fig7"; "fig8"; "tab7"; "tab8"; "sanitize"; "lint"; "ablation-irq";
+      "ablation-wor"; "ablation-selection"; "ablation-subclass";
+      "ablation-sides"; "ablation-corruption"; "lockdep"; "relations";
+      "lockmeter" ]
     Registry.ids
 
 let () =

@@ -219,6 +219,10 @@ let test_seeded_family workload () =
     "post-triage irq precision" 1.0 r.Replay.r_irq_post.Crossval.cv_precision;
   Alcotest.(check (float 1e-9))
     "post-triage irq recall" 1.0 r.Replay.r_irq_post.Crossval.cv_recall;
+  Alcotest.(check int)
+    "triage loses no true positive"
+    (r.Replay.r_races_pre.Crossval.cv_tp + r.Replay.r_irq_pre.Crossval.cv_tp)
+    (r.Replay.r_races_post.Crossval.cv_tp + r.Replay.r_irq_post.Crossval.cv_tp);
   List.iter
     (fun (o : Replay.outcome) ->
       match o.Replay.o_verdict with

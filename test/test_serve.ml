@@ -29,7 +29,6 @@
 module Frame = Lockdoc_serve.Frame
 module Proto = Lockdoc_serve.Proto
 module Server = Lockdoc_serve.Server
-module Chaos = Lockdoc_serve.Chaos
 module Sockserv = Lockdoc_serve.Sockserv
 module Wal = Lockdoc_db.Wal
 module Import = Lockdoc_db.Import
