@@ -67,17 +67,69 @@ let anomaly_total s =
    popping back to it resumes that transaction (paper Sec. 4.2). *)
 type held_entry = { entry : Schema.held; opened_txn : int }
 
+(* A function stack, interned as a node of the call tree the trace has
+   walked so far: one node per distinct stack, reached from its parent
+   by the callee's name. The node caches what every access below it
+   needs — whether a frame is blacklisted, and the store's stack id,
+   interned at the first access that is kept (so ids and the op log
+   order are those of interning at each kept access). *)
+type frame = {
+  fr_id : int;
+  fr_name : string; (* innermost function; "" at the root *)
+  fr_frames : string list; (* innermost first *)
+  fr_parent : frame option; (* None at the root *)
+  fr_blacklisted : bool; (* some frame is on the filter's fn blacklist *)
+  mutable fr_stack : int; (* store stack id, -1 until interned *)
+}
+
 type ctx_state = {
   pid : int;
-  mutable frames : string list; (* innermost first *)
+  mutable frame : frame;
   mutable held : held_entry list; (* oldest first *)
   mutable base_txn : int option; (* txn inherited from the interrupted flow *)
 }
 
 let cur_txn ctx =
-  match List.rev ctx.held with
-  | last :: _ -> Some last.opened_txn
-  | [] -> ctx.base_txn
+  let rec last = function
+    | [ he ] -> Some he.opened_txn
+    | _ :: rest -> last rest
+    | [] -> ctx.base_txn
+  in
+  last ctx.held
+
+(* How an access to a member is filtered, decided once per member. *)
+type verdict = Keep | Drop_kind | Drop_member
+
+type slot = { s_member : Layout.member; s_verdict : verdict }
+
+(* One data type's members in layout order, each with its verdict. *)
+let member_slots filter layout =
+  let verdict m =
+    if
+      (filter.Filter.drop_lock_members && m.Layout.m_kind = Layout.Lock)
+      || (filter.Filter.drop_atomic_members && m.Layout.m_kind = Layout.Atomic)
+    then Drop_kind
+    else if
+      Filter.member_blacklisted filter ~ty:layout.Layout.ty_name
+        ~member:m.Layout.m_name
+    then Drop_member
+    else Keep
+  in
+  Array.of_list
+    (List.map (fun m -> { s_member = m; s_verdict = verdict m }) layout.Layout.members)
+
+(* Index of the first slot covering [offset], or -1: {!Layout.member_at}. *)
+let member_slot slots offset =
+  let n = Array.length slots in
+  let rec scan i =
+    if i >= n then -1
+    else
+      let m = slots.(i).s_member in
+      if offset >= m.Layout.m_offset && offset < m.Layout.m_offset + m.Layout.m_size
+      then i
+      else scan (i + 1)
+  in
+  scan 0
 
 (* All per-run counters in one mutable record so the engine marshals as
    plain data. *)
@@ -136,8 +188,13 @@ type engine = {
   g_mode : mode;
   g_store : Store.t;
   g_dt_ids : (string, int) Hashtbl.t;
+  g_slots : slot array array; (* by dt_id *)
+  g_root : frame;
+  g_children : (int * string, frame) Hashtbl.t; (* (parent id, callee) *)
   mutable g_live_allocs : int IntMap.t; (* base ptr -> al_id *)
   mutable g_freed : int IntMap.t; (* base ptr -> size, until reused *)
+  mutable g_freed_max : int; (* largest size ever added to g_freed *)
+  mutable g_freed_neg : bool; (* a negative size was ever added *)
   g_live_locks : (int, int) Hashtbl.t; (* lock ptr -> lk_id *)
   g_locks_of_alloc : (int, int list) Hashtbl.t; (* al_id -> lock ptrs *)
   g_flow_kinds : (int, Event.ctx_kind) Hashtbl.t;
@@ -152,12 +209,25 @@ let engine ?(filter = Filter.default) ?(irq_mode = Inherit) ?(mode = Strict)
   let store = Store.create () in
   Store.set_logger store log;
   let dt_ids = Hashtbl.create 32 in
-  List.iter
-    (fun layout ->
-      let dt = Store.add_data_type store layout in
-      Hashtbl.replace dt_ids dt.Schema.dt_name dt.Schema.dt_id)
-    layouts;
-  let root = { pid = 0; frames = []; held = []; base_txn = None } in
+  let slots =
+    List.map
+      (fun layout ->
+        let dt = Store.add_data_type store layout in
+        Hashtbl.replace dt_ids dt.Schema.dt_name dt.Schema.dt_id;
+        member_slots filter layout)
+      layouts
+  in
+  let top =
+    {
+      fr_id = 0;
+      fr_name = "";
+      fr_frames = [];
+      fr_parent = None;
+      fr_blacklisted = false;
+      fr_stack = -1;
+    }
+  in
+  let root = { pid = 0; frame = top; held = []; base_txn = None } in
   let ctxs = Hashtbl.create 32 in
   Hashtbl.replace ctxs 0 root;
   {
@@ -166,8 +236,13 @@ let engine ?(filter = Filter.default) ?(irq_mode = Inherit) ?(mode = Strict)
     g_mode = mode;
     g_store = store;
     g_dt_ids = dt_ids;
+    g_slots = Array.of_list slots;
+    g_root = top;
+    g_children = Hashtbl.create 256;
     g_live_allocs = IntMap.empty;
     g_freed = IntMap.empty;
+    g_freed_max = 0;
+    g_freed_neg = false;
     g_live_locks = Hashtbl.create 256;
     g_locks_of_alloc = Hashtbl.create 256;
     g_flow_kinds = Hashtbl.create 32;
@@ -205,11 +280,10 @@ let resolve_lock g ~event ptr kind name =
         match find_alloc g ptr with
         | None -> None
         | Some al ->
-            let dt = Store.data_type g.g_store al.Schema.al_type in
-            let offset = ptr - al.Schema.al_ptr in
-            Option.map
-              (fun m -> (al.Schema.al_id, m.Layout.m_name))
-              (Layout.member_at dt.Schema.dt_layout offset)
+            let slots = g.g_slots.(al.Schema.al_type) in
+            let i = member_slot slots (ptr - al.Schema.al_ptr) in
+            if i < 0 then None
+            else Some (al.Schema.al_id, slots.(i).s_member.Layout.m_name)
       in
       (match parent with
       | None ->
@@ -270,6 +344,64 @@ let handle_release g ctx ~lock_ptr =
       | Some (prefix, []) -> ctx.held <- prefix
       | Some (prefix, tail) -> reopen_txns g ctx prefix tail)
 
+let enter g ctx fn =
+  let parent = ctx.frame in
+  let key = (parent.fr_id, fn) in
+  ctx.frame <-
+    (match Hashtbl.find_opt g.g_children key with
+    | Some fr -> fr
+    | None ->
+        let fr =
+          {
+            fr_id = Hashtbl.length g.g_children + 1 (* the root is 0 *);
+            fr_name = fn;
+            fr_frames = fn :: parent.fr_frames;
+            fr_parent = Some parent;
+            fr_blacklisted =
+              parent.fr_blacklisted || List.mem fn g.g_filter.Filter.fn_blacklist;
+            fr_stack = -1;
+          }
+        in
+        Hashtbl.replace g.g_children key fr;
+        fr)
+
+(* Pop up to and including the innermost frame named [fn]; an exit that
+   matches no frame empties the stack. *)
+let exit_ ctx fn =
+  let rec pop fr =
+    match fr.fr_parent with
+    | None -> fr
+    | Some parent -> if String.equal fr.fr_name fn then parent else pop parent
+  in
+  ctx.frame <- pop ctx.frame
+
+(* An allocation of [size] at [ptr] reuses every freed region it
+   overlaps. Only regions based within [g_freed_max] below [ptr] can
+   reach it, so the walk starts there; the full filter remains for
+   traces whose sizes or pointers could overflow that window. *)
+let reuse_freed g ~ptr ~size =
+  let overlaps base fsize = not (base + fsize <= ptr || ptr + size <= base) in
+  let m = g.g_freed_max in
+  if
+    g.g_freed_neg
+    || ptr < min_int + m
+    || (size > 0 && ptr > max_int - size)
+    || (size < 0 && ptr < min_int - size)
+  then
+    g.g_freed <-
+      IntMap.filter (fun base fsize -> not (overlaps base fsize)) g.g_freed
+  else begin
+    let hi = ptr + size in
+    let rec drop seq =
+      match seq () with
+      | Seq.Cons ((base, fsize), rest) when base < hi ->
+          if overlaps base fsize then g.g_freed <- IntMap.remove base g.g_freed;
+          drop rest
+      | _ -> ()
+    in
+    drop (IntMap.to_seq_from (ptr - m + 1) g.g_freed)
+  end
+
 let feed g ev =
   let idx = g.g_pos in
   let c = g.g_c in
@@ -288,18 +420,18 @@ let feed g ev =
           match Hashtbl.find_opt g.g_ctxs pid with
           | Some st -> g.g_current <- st
           | None ->
-              let st = { pid; frames = []; held = []; base_txn = None } in
+              let st = { pid; frame = g.g_root; held = []; base_txn = None } in
               Hashtbl.replace g.g_ctxs pid st;
               g.g_current <- st)
       | Event.Softirq | Event.Hardirq ->
           (* Handlers run to completion: always a fresh state. *)
           let st =
             match g.g_irq_mode with
-            | Separate -> { pid; frames = []; held = []; base_txn = None }
+            | Separate -> { pid; frame = g.g_root; held = []; base_txn = None }
             | Inherit ->
                 {
                   pid;
-                  frames = [];
+                  frame = g.g_root;
                   held = g.g_current.held;
                   base_txn = g.g_current.base_txn;
                 }
@@ -319,10 +451,7 @@ let feed g ev =
           let al =
             Store.add_allocation g.g_store ~ptr ~size ~ty ~subclass ~start:idx
           in
-          g.g_freed <-
-            IntMap.filter
-              (fun base fsize -> base + fsize <= ptr || ptr + size <= base)
-              g.g_freed;
+          reuse_freed g ~ptr ~size;
           g.g_live_allocs <- IntMap.add ptr al.Schema.al_id g.g_live_allocs)
   | Event.Free { ptr } -> (
       c.k_frees <- c.k_frees + 1;
@@ -342,6 +471,8 @@ let feed g ev =
           let al = Store.allocation g.g_store al_id in
           Store.set_alloc_end g.g_store al_id (Some idx);
           g.g_freed <- IntMap.add ptr al.Schema.al_size g.g_freed;
+          g.g_freed_max <- max g.g_freed_max al.Schema.al_size;
+          if al.Schema.al_size < 0 then g.g_freed_neg <- true;
           g.g_live_allocs <- IntMap.remove ptr g.g_live_allocs;
           (match Hashtbl.find_opt g.g_locks_of_alloc al_id with
           | None -> ()
@@ -354,14 +485,8 @@ let feed g ev =
   | Event.Lock_release { lock_ptr; loc = _ } ->
       c.k_lock_ops <- c.k_lock_ops + 1;
       handle_release g g.g_current ~lock_ptr
-  | Event.Fun_enter { fn; loc = _ } ->
-      g.g_current.frames <- fn :: g.g_current.frames
-  | Event.Fun_exit { fn } ->
-      let rec pop = function
-        | [] -> []
-        | frame :: rest -> if frame = fn then rest else pop rest
-      in
-      g.g_current.frames <- pop g.g_current.frames
+  | Event.Fun_enter { fn; loc = _ } -> enter g g.g_current fn
+  | Event.Fun_exit { fn } -> exit_ g.g_current fn
   | Event.Mem_access { ptr; size = _; kind; loc } -> (
       c.k_mem_accesses <- c.k_mem_accesses + 1;
       match find_alloc g ptr with
@@ -373,32 +498,27 @@ let feed g ev =
               (Printf.sprintf "access at 0x%x inside a freed allocation" ptr)
           end
       | Some al -> (
-          let dt = Store.data_type g.g_store al.Schema.al_type in
-          let offset = ptr - al.Schema.al_ptr in
-          match Layout.member_at dt.Schema.dt_layout offset with
-          | None -> c.k_unresolved <- c.k_unresolved + 1
-          | Some m ->
-              let ctx = g.g_current in
-              let filter = g.g_filter in
-              if
-                (filter.Filter.drop_lock_members && m.Layout.m_kind = Layout.Lock)
-                || (filter.Filter.drop_atomic_members
-                    && m.Layout.m_kind = Layout.Atomic)
-              then c.k_f_kind <- c.k_f_kind + 1
-              else if
-                Filter.member_blacklisted filter ~ty:dt.Schema.dt_name
-                  ~member:m.Layout.m_name
-              then c.k_f_member <- c.k_f_member + 1
-              else if Filter.fn_blacklisted filter ctx.frames then
-                c.k_f_fn <- c.k_f_fn + 1
-              else begin
-                c.k_kept <- c.k_kept + 1;
-                let stack = Store.intern_stack g.g_store ctx.frames in
-                ignore
-                  (Store.add_access g.g_store ~event:idx ~alloc:al.Schema.al_id
-                     ~member:m.Layout.m_name ~kind ~txn:(cur_txn ctx) ~loc
-                     ~stack ~ctx:ctx.pid)
-              end)));
+          let slots = g.g_slots.(al.Schema.al_type) in
+          let i = member_slot slots (ptr - al.Schema.al_ptr) in
+          if i < 0 then c.k_unresolved <- c.k_unresolved + 1
+          else
+            let slot = slots.(i) in
+            match slot.s_verdict with
+            | Drop_kind -> c.k_f_kind <- c.k_f_kind + 1
+            | Drop_member -> c.k_f_member <- c.k_f_member + 1
+            | Keep ->
+                let ctx = g.g_current in
+                let fr = ctx.frame in
+                if fr.fr_blacklisted then c.k_f_fn <- c.k_f_fn + 1
+                else begin
+                  c.k_kept <- c.k_kept + 1;
+                  if fr.fr_stack < 0 then
+                    fr.fr_stack <- Store.intern_stack g.g_store fr.fr_frames;
+                  ignore
+                    (Store.add_access g.g_store ~event:idx ~alloc:al.Schema.al_id
+                       ~member:slot.s_member.Layout.m_name ~kind ~txn:(cur_txn ctx) ~loc
+                       ~stack:fr.fr_stack ~ctx:ctx.pid)
+                end)));
   g.g_pos <- idx + 1
 
 let stats g =

@@ -28,7 +28,10 @@ type payload = {
   p_stats : Import.stats option; (* Some once the import completed *)
 }
 
-let magic = "LOCKDOCSNAP1\n"
+(* Bumped whenever the marshalled [Store.t] / [Import.engine] layout
+   changes: unmarshalling a blob of another layout is not type-safe, so
+   an older snapshot must fail the magic check and be re-imported. *)
+let magic = "LOCKDOCSNAP2\n"
 
 let snapshot_name seq = Printf.sprintf "snap-%06d.snap" seq
 

@@ -26,6 +26,11 @@ type payload = {
   p_stats : Import.stats option;  (** [Some] once the import completed *)
 }
 
+val magic : string
+(** The first bytes of every snapshot file (["LOCKDOCSNAP2\n"]). The
+    version changes with the marshalled layout of {!Store.t} and
+    {!Import.engine}; a snapshot with another magic loads as [None]. *)
+
 val snapshot_name : int -> string
 (** [snapshot_name seq] is ["snap-<seq>.snap"]. *)
 

@@ -11,7 +11,10 @@ type t = {
   stack_index : (string, int) Hashtbl.t;
   dt_by_name : (string, int) Hashtbl.t;
   by_type_key : (string, int list ref) Hashtbl.t;
-      (* type key -> access ids, reversed *)
+      (* type key -> access ids, reversed; only keys with accesses *)
+  alloc_cells : int list ref option Vec.t;
+      (* al_id -> its type key's cell, looked up at the allocation's
+         first access *)
   mutable on_op : (Op.t -> unit) option;
       (* Must stay None while the store is marshalled: closures don't
          serialise. Snapshot clears it via [with_logger]. *)
@@ -31,6 +34,7 @@ let create () =
     stack_index = Hashtbl.create 256;
     dt_by_name = Hashtbl.create 32;
     by_type_key = Hashtbl.create 64;
+    alloc_cells = Vec.create ();
     on_op = None;
     sealed = false;
   }
@@ -80,6 +84,7 @@ let add_allocation t ~ptr ~size ~ty ~subclass ~start =
     }
   in
   ignore (Vec.push t.allocations row);
+  ignore (Vec.push t.alloc_cells None);
   log t (Op.Add_allocation { ptr; size; ty; subclass; start });
   row
 
@@ -157,14 +162,21 @@ let add_access t ~event ~alloc ~member ~kind ~txn ~loc ~stack ~ctx =
     }
   in
   ignore (Vec.push t.accesses row);
-  let al = allocation t alloc in
-  let key = type_key (data_type t al.al_type) al in
   let cell =
-    match Hashtbl.find_opt t.by_type_key key with
+    match lookup ~fn:"allocation" ~table:"allocations" t.alloc_cells alloc with
     | Some cell -> cell
     | None ->
-        let cell = ref [] in
-        Hashtbl.replace t.by_type_key key cell;
+        let al = allocation t alloc in
+        let key = type_key (data_type t al.al_type) al in
+        let cell =
+          match Hashtbl.find_opt t.by_type_key key with
+          | Some cell -> cell
+          | None ->
+              let cell = ref [] in
+              Hashtbl.replace t.by_type_key key cell;
+              cell
+        in
+        Vec.set t.alloc_cells alloc (Some cell);
         cell
   in
   cell := ac_id :: !cell;

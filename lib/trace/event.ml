@@ -76,16 +76,12 @@ let ctx_of_string = function
   | "hardirq" -> Hardirq
   | s -> failwith ("Event.ctx_of_string: " ^ s)
 
-let tab = String.concat "\t"
-
 (* Free-form name fields are escaped so that tabs/newlines in identifiers
    cannot break line framing; source locations are serialised first and
-   then escaped as a whole (the file part may contain anything). *)
+   then escaped as a whole (the file part may contain anything). The
+   line part is digits, which never need escaping, so the location is
+   written as the escaped file, a colon and the line. *)
 let enc = Fieldenc.encode
-
-let enc_loc loc = Fieldenc.encode (Srcloc.to_string loc)
-
-let dec_loc s = Srcloc.of_string (Fieldenc.decode s)
 
 let enc_subclass = function
   | None -> "-"
@@ -93,46 +89,66 @@ let enc_subclass = function
       (* A literal "-" subclass must not collide with the None marker. *)
       if s = "-" then "\\-" else enc s
 
+let dec_loc s = Srcloc.of_string (Fieldenc.decode s)
+
 let dec_subclass = function
   | "-" -> None
   | s -> Some (Fieldenc.decode s)
 
-let to_line = function
+let field b s =
+  Buffer.add_char b '\t';
+  Buffer.add_string b s
+
+let int_field b i = field b (string_of_int i)
+
+let loc_field b (loc : Srcloc.t) =
+  field b (enc loc.file);
+  Buffer.add_char b ':';
+  Buffer.add_string b (string_of_int loc.line)
+
+let add_line b = function
   | Alloc { ptr; size; data_type; subclass } ->
-      tab
-        [
-          "A";
-          string_of_int ptr;
-          string_of_int size;
-          enc data_type;
-          enc_subclass subclass;
-        ]
-  | Free { ptr } -> tab [ "F"; string_of_int ptr ]
+      Buffer.add_char b 'A';
+      int_field b ptr;
+      int_field b size;
+      field b (enc data_type);
+      field b (enc_subclass subclass)
+  | Free { ptr } ->
+      Buffer.add_char b 'F';
+      int_field b ptr
   | Lock_acquire { lock_ptr; kind; side; name; loc } ->
-      tab
-        [
-          "L+";
-          string_of_int lock_ptr;
-          lock_kind_to_string kind;
-          side_to_string side;
-          enc name;
-          enc_loc loc;
-        ]
+      Buffer.add_string b "L+";
+      int_field b lock_ptr;
+      field b (lock_kind_to_string kind);
+      field b (side_to_string side);
+      field b (enc name);
+      loc_field b loc
   | Lock_release { lock_ptr; loc } ->
-      tab [ "L-"; string_of_int lock_ptr; enc_loc loc ]
+      Buffer.add_string b "L-";
+      int_field b lock_ptr;
+      loc_field b loc
   | Mem_access { ptr; size; kind; loc } ->
-      tab
-        [
-          "M";
-          string_of_int ptr;
-          string_of_int size;
-          access_to_string kind;
-          enc_loc loc;
-        ]
-  | Fun_enter { fn; loc } -> tab [ "E"; enc fn; enc_loc loc ]
-  | Fun_exit { fn } -> tab [ "X"; enc fn ]
+      Buffer.add_char b 'M';
+      int_field b ptr;
+      int_field b size;
+      field b (access_to_string kind);
+      loc_field b loc
+  | Fun_enter { fn; loc } ->
+      Buffer.add_char b 'E';
+      field b (enc fn);
+      loc_field b loc
+  | Fun_exit { fn } ->
+      Buffer.add_char b 'X';
+      field b (enc fn)
   | Ctx_switch { pid; kind } ->
-      tab [ "C"; string_of_int pid; ctx_to_string kind ]
+      Buffer.add_char b 'C';
+      int_field b pid;
+      field b (ctx_to_string kind)
+
+let to_line ev =
+  let b = Buffer.create 64 in
+  add_line b ev;
+  Buffer.contents b
 
 let arity_of_tag = function
   | "A" -> Some 5

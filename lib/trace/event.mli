@@ -56,6 +56,9 @@ val to_line : t -> string
     {!Fieldenc}-escaped, so identifiers may contain tabs, newlines or
     separator characters without breaking framing. *)
 
+val add_line : Buffer.t -> t -> unit
+(** Append {!to_line}'s bytes (no newline) to a buffer. *)
+
 val of_line : string -> t
 (** Inverse of {!to_line}. Raises [Failure] on malformed input. *)
 

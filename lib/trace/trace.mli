@@ -18,7 +18,9 @@ val emitted : sink -> int
 val finish : layouts:Layout.t list -> sink -> t
 
 val save : string -> t -> unit
-(** Write to a file; one line per layout/event. *)
+(** Write to a file; one line per layout/event. The bytes are those of
+    {!to_lines}, each followed by a newline, streamed without building
+    the list. *)
 
 type mode =
   | Strict  (** raise {!Invalid} on the first anomalous line *)
@@ -36,8 +38,15 @@ val read_lines : ?mode:mode -> ?file:string -> string list -> t * Diag.t list
     diagnostics. *)
 
 val read : ?mode:mode -> string -> t * Diag.t list
-(** [read path] is {!read_lines} over the lines of [path]. Raises
-    [Sys_error] if the file cannot be opened. *)
+(** [read path] is {!read_lines} over the lines of [path] (split at
+    ['\n'], as [input_line] does): the same trace, the same diagnostics
+    with the same line numbers, raised or collected the same way. It
+    streams the file through a 64 KiB buffer (grown to hold a longer
+    line) and parses well-formed event lines in place, interning source
+    locations and names, so equal location text yields one shared
+    {!Srcloc.t}. Any line it does not fully
+    recognise goes through the validating path. Raises [Sys_error] if
+    the file cannot be opened. *)
 
 val load : string -> t
 (** Inverse of {!save}. Strict: raises [Failure] carrying the file name

@@ -31,6 +31,13 @@ let rec record failures idx exn bt =
     if not (Atomic.compare_and_set failures cur next) then
       record failures idx exn bt
 
+(* How long the calling domain works alone before it spawns the other
+   workers. Spawning and joining domains costs more than a small call's
+   whole work, and under OCaml 5.1 the heap of a process that spawns
+   per call grows with the number of calls; a call that finishes within
+   this time spawns nothing. *)
+let solo_s = 0.002
+
 let init ?jobs n f =
   if n < 0 then invalid_arg "Pool.init: negative length";
   let jobs = match jobs with Some j -> max 1 j | None -> default_jobs () in
@@ -46,6 +53,20 @@ let init ?jobs n f =
     (* Per-worker task tallies, each slot private to one worker until
        the joins below publish them. *)
     let done_by = Array.make workers 0 in
+    let run w i =
+      (match f i with
+      | v -> results.(i) <- Some v
+      | exception exn -> record failures i exn (Printexc.get_raw_backtrace ()));
+      done_by.(w) <- done_by.(w) + 1
+    in
+    let t0 = Obs.Clock.wall () in
+    let rec solo () =
+      let i = Atomic.fetch_and_add next 1 in
+      if i < n then begin
+        run 0 i;
+        if Obs.Clock.wall () -. t0 < solo_s then solo ()
+      end
+    in
     let worker w =
       let t0 = if Obs.enabled () then Obs.Clock.wall () else 0. in
       let continue = ref true in
@@ -55,11 +76,7 @@ let init ?jobs n f =
         else begin
           Obs.incr c_chunks;
           for i = start to min (start + chunk) n - 1 do
-            (match f i with
-            | v -> results.(i) <- Some v
-            | exception exn ->
-                record failures i exn (Printexc.get_raw_backtrace ()));
-            done_by.(w) <- done_by.(w) + 1
+            run w i
           done
         end
       done;
@@ -70,15 +87,19 @@ let init ?jobs n f =
     in
     Obs.incr c_runs;
     Obs.add c_tasks n;
+    solo ();
     let domains =
-      Array.init (workers - 1) (fun i -> Domain.spawn (fun () -> worker (i + 1)))
+      if Atomic.get next >= n then [||]
+      else
+        Array.init (workers - 1) (fun i -> Domain.spawn (fun () -> worker (i + 1)))
     in
     worker 0;
     Array.iter Domain.join domains;
-    if Obs.enabled () then begin
+    if Obs.enabled () && Array.length domains > 0 then begin
       (* Spread between the busiest and laziest worker, as a fraction
          of a perfectly even share: 0 = balanced, 1 = one worker did a
-         full share more than another. *)
+         full share more than another. A call that never spawned has no
+         spread to report. *)
       let mx = Array.fold_left max 0 done_by
       and mn = Array.fold_left min max_int done_by in
       let share = float_of_int n /. float_of_int workers in

@@ -24,7 +24,9 @@ val init : ?jobs:int -> int -> (int -> 'a) -> 'a array
 (** [init ~jobs n f] is [Array.init n f] evaluated on [jobs] domains
     (the calling domain included). [jobs] defaults to {!default_jobs};
     [jobs <= 1] or [n <= 1] runs sequentially on the calling domain
-    without spawning. *)
+    without spawning. Otherwise the calling domain works alone for
+    up to 2 ms and spawns the other workers only if items remain, so a
+    small call spawns nothing. *)
 
 val map : ?jobs:int -> ('a -> 'b) -> 'a list -> 'b list
 (** Parallel [List.map], order preserved. *)

@@ -47,6 +47,8 @@ let fold f acc t =
 
 let to_list t = List.init t.len (fun i -> t.data.(i))
 
+let to_array t = Array.sub t.data 0 t.len
+
 let exists p t =
   let rec go i = i < t.len && (p t.data.(i) || go (i + 1)) in
   go 0

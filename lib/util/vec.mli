@@ -16,5 +16,6 @@ val iter : ('a -> unit) -> 'a t -> unit
 val iteri : (int -> 'a -> unit) -> 'a t -> unit
 val fold : ('acc -> 'a -> 'acc) -> 'acc -> 'a t -> 'acc
 val to_list : 'a t -> 'a list
+val to_array : 'a t -> 'a array
 val exists : ('a -> bool) -> 'a t -> bool
 val find_opt : ('a -> bool) -> 'a t -> 'a option

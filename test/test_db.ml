@@ -494,6 +494,209 @@ let test_modes_agree_on_clean_trace () =
     |> List.exists (fun l ->
            String.length l >= 9 && String.sub l 0 9 = "anomalies"))
 
+(* {2 The engine against a naive reference importer} *)
+
+(* Layouts the engine must resolve exactly as [Layout.member_at]: gaps,
+   overlapping members (the first in layout order wins), a zero-size
+   member, a member reaching below offset 0, and one at offset 2^40. *)
+let member ?(kind = Layout.Data) name off size =
+  { Layout.m_name = name; m_offset = off; m_size = size; m_kind = kind }
+
+let holey =
+  {
+    Layout.ty_name = "holey";
+    ty_size = 32;
+    members =
+      [
+        member "a" 0 4;
+        member "b" 2 8;
+        member ~kind:Layout.Lock "l" 12 4;
+        member "c" 16 8;
+        member "empty" 30 0;
+        member "under" (-4) 6;
+        member ~kind:Layout.Atomic "n" 24 4;
+      ];
+  }
+
+let gappy =
+  {
+    Layout.ty_name = "gappy";
+    ty_size = 40;
+    members =
+      [
+        member "under" (-4) 8;
+        member "a" 0 8;
+        member "b" 16 8;
+        member ~kind:Layout.Lock "l" 20 8;
+        member "far" (1 lsl 40) 8;
+      ];
+  }
+
+let ref_layouts = [ widget; holey; gappy ]
+
+let ref_filter =
+  {
+    Filter.default with
+    Filter.fn_blacklist = [ "init_fn"; "atomic_read" ];
+    member_blacklist = [ ("holey", "c"); ("gappy", "b") ];
+  }
+
+let expect_reference ?filter ?irq_mode ?(layouts = ref_layouts) name events =
+  match Import_ref.diff ?filter ?irq_mode layouts events with
+  | "" -> ()
+  | d -> Alcotest.failf "%s: %s" name d
+
+let test_ref_straddle () =
+  let a = base and b = base + 16 in
+  let events =
+    [
+      task;
+      Event.Alloc { ptr = a; size = 16; data_type = "holey"; subclass = None };
+      Event.Alloc { ptr = b; size = 16; data_type = "holey"; subclass = None };
+      read a;
+      Event.Free { ptr = a };
+      Event.Free { ptr = b };
+      read (b + 4) (* after free *);
+      (* One allocation over the tail of [a] and the head of [b]. *)
+      Event.Alloc { ptr = a + 8; size = 16; data_type = "holey"; subclass = Some "s" };
+      read (a + 2) (* [a] is reused: unresolved, not after free *);
+      read (b + 12) (* likewise [b] *);
+      read (a + 8);
+      Event.Free { ptr = a };
+      Event.Free { ptr = b };
+    ]
+  in
+  expect_reference ~filter:ref_filter "straddle" events;
+  let _, _, stats = Import_ref.engine ~filter:ref_filter ref_layouts events in
+  check Alcotest.int "one access after free" 1
+    stats.Import.anomalies.Import.an_access_after_free;
+  check Alcotest.int "reused regions free as never allocated" 2
+    stats.Import.anomalies.Import.an_free_without_alloc
+
+let test_ref_freed_embedded_lock () =
+  let events =
+    [
+      task;
+      alloc base;
+      acquire (base + 8) (* w_lock *);
+      write base;
+      release (base + 8);
+      Event.Free { ptr = base };
+      read base;
+      acquire (base + 8);
+      write (base + 12);
+      release (base + 8);
+    ]
+  in
+  expect_reference "freed embedded lock" events;
+  let _, _, stats = Import_ref.engine ref_layouts events in
+  check Alcotest.int "acquire on freed" 1
+    stats.Import.anomalies.Import.an_acquire_on_freed;
+  check Alcotest.int "accesses after free" 2
+    stats.Import.anomalies.Import.an_access_after_free
+
+let test_ref_odd_layouts () =
+  let far = base + (1 lsl 40) in
+  let at ty ptr size = Event.Alloc { ptr; size; data_type = ty; subclass = None } in
+  let touch p = List.init 44 (fun off -> read (p + off)) in
+  let events =
+    [ task; at "holey" base 40; at "gappy" (base + 0x100) ((1 lsl 40) + 16) ]
+    @ touch base @ touch (base + 0x100)
+    @ [ read (far + 0x100); read (far + 0x107); read (far + 0x108) ]
+    @ [ acquire (base + 13); acquire (base + 0x100 + 20); acquire (base + 0x100 + 17) ]
+  in
+  List.iter
+    (fun (fname, filter) ->
+      expect_reference ~filter ("odd layouts, " ^ fname) events)
+    [ ("empty", Filter.empty); ("default", Filter.default); ("custom", ref_filter) ]
+
+(* Allocations so large that offsets into them approach max_int: every
+   access past the members stays unresolved, and after the free, an
+   access after free. *)
+let test_ref_huge_allocations () =
+  let at ty ptr size = Event.Alloc { ptr; size; data_type = ty; subclass = None } in
+  let far = 1 lsl 61 in
+  List.iter
+    (fun (name, ptr, size) ->
+      let touch =
+        [ read ptr; read (ptr + 13); read (ptr + far); read (ptr + size - 1);
+          acquire (ptr + far); acquire (ptr + 12) ]
+      in
+      expect_reference ~filter:ref_filter name
+        ([ task; at "holey" ptr size ] @ touch
+        @ [ Event.Free { ptr }; read (ptr + far); at "widget" (ptr + 64) 16 ]
+        @ touch))
+    [ ("size 2^61 + 64", base, far + 64); ("size max_int", 0, max_int) ]
+
+let ref_event_gen =
+  let open QCheck.Gen in
+  let bases = [ base; base + 0x10; base + 0x20; base + 0x40; base + 0x60 ] in
+  let ptr = oneofl bases in
+  let statics = [ 0x50; 0x60 ] in
+  let lock_ptr =
+    oneof [ map2 ( + ) ptr (oneofl [ 4; 8; 12; 13; 20 ]); oneofl statics ]
+  in
+  let fn = oneofl [ "f"; "g"; "init_fn"; "atomic_read" ] in
+  frequency
+    [
+      ( 3,
+        map3
+          (fun (p, size) ty subclass ->
+            Event.Alloc { ptr = p; size; data_type = ty; subclass })
+          (pair ptr (oneofl [ 8; 16; 24; 40; 0x40 ]))
+          (oneofl [ "widget"; "holey"; "gappy"; "nosuch" ])
+          (oneofl [ None; Some "x" ]) );
+      (2, map (fun p -> Event.Free { ptr = p }) (oneof [ ptr; return 0x2000 ]));
+      ( 8,
+        map3
+          (fun p off w ->
+            Event.Mem_access
+              { ptr = p + off; size = 4; kind = (if w then Event.Write else Event.Read); loc })
+          ptr (int_bound 0x48) bool );
+      ( 3,
+        map2
+          (fun p shared ->
+            Event.Lock_acquire
+              {
+                lock_ptr = p;
+                kind = Event.Rwsem;
+                side = (if shared then Event.Shared else Event.Exclusive);
+                name = "L";
+                loc;
+              })
+          lock_ptr bool );
+      (3, map release lock_ptr);
+      (2, map (fun fn -> Event.Fun_enter { fn; loc }) fn);
+      (2, map (fun fn -> Event.Fun_exit { fn }) fn);
+      ( 2,
+        map2
+          (fun pid kind -> Event.Ctx_switch { pid; kind })
+          (int_bound 3)
+          (frequencyl [ (4, Event.Task); (1, Event.Softirq); (1, Event.Hardirq) ]) );
+    ]
+
+let prop_engine_matches_reference =
+  QCheck.Test.make ~name:"engine = naive reference" ~count:400
+    (QCheck.make
+       ~print:(fun (events, _, _) ->
+         String.concat "\n" (List.map Event.to_line events))
+       QCheck.Gen.(
+         triple
+           (list_size (int_range 0 80) ref_event_gen)
+           (oneofl [ Filter.empty; Filter.default; ref_filter ])
+           (oneofl [ Import.Inherit; Import.Separate ])))
+    (fun (events, filter, irq_mode) ->
+      match Import_ref.diff ~filter ~irq_mode ref_layouts events with
+      | "" -> true
+      | d -> QCheck.Test.fail_report d)
+
+let test_ref_family_traces () =
+  List.iter
+    (fun name ->
+      let t = Lockdoc_ksim.Run.workload_trace ~seed:11 name in
+      expect_reference ~layouts:t.Trace.layouts name (Array.to_list t.Trace.events))
+    [ "pipe"; "fs_inod" ]
+
 let () =
   Alcotest.run "db"
     [
@@ -549,5 +752,15 @@ let () =
           Alcotest.test_case "strict raises" `Quick test_strict_raises_on_fatal;
           Alcotest.test_case "modes agree when clean" `Quick
             test_modes_agree_on_clean_trace;
+        ] );
+      ( "reference",
+        [
+          Alcotest.test_case "straddling reuse" `Quick test_ref_straddle;
+          Alcotest.test_case "freed embedded lock" `Quick
+            test_ref_freed_embedded_lock;
+          Alcotest.test_case "odd layouts" `Quick test_ref_odd_layouts;
+          Alcotest.test_case "huge allocations" `Quick test_ref_huge_allocations;
+          Alcotest.test_case "family traces" `Quick test_ref_family_traces;
+          QCheck_alcotest.to_alcotest prop_engine_matches_reference;
         ] );
     ]

@@ -330,7 +330,7 @@ let test_snapshot_corruption () =
    the read, not by an End_of_file after allocating the claimed size. *)
 let test_snapshot_oversized_length () =
   with_dir "lockdoc_snap" @@ fun dir ->
-  let magic = "LOCKDOCSNAP1\n" in
+  let magic = Snapshot.magic in
   let path = save_small_snapshot dir in
   check Alcotest.bool "saved snapshot starts with the magic" true
     (String.starts_with ~prefix:magic (read_file path));
@@ -345,6 +345,44 @@ let test_snapshot_oversized_length () =
     (Printf.sprintf "allocated %.0f bytes, under 1 MiB" grown)
     true
     (grown < 1048576.)
+
+(* A snapshot of the previous layout version is well formed — magic,
+   length and CRC all check out — but its payload marshals records of
+   another shape. It must load as [None], never as a mistyped value,
+   and a durable import over such a directory starts again from the
+   trace with identical results. *)
+let test_snapshot_old_version () =
+  with_dir "lockdoc_snap" @@ fun dir ->
+  let old_magic = "LOCKDOCSNAP1\n" in
+  check Alcotest.int "same magic length" (String.length Snapshot.magic)
+    (String.length old_magic);
+  let restamp path =
+    let good = read_file path in
+    check Alcotest.bool "saved with the current magic" true
+      (String.starts_with ~prefix:Snapshot.magic good);
+    let n = String.length old_magic in
+    write_file path (old_magic ^ String.sub good n (String.length good - n))
+  in
+  let path = save_small_snapshot dir in
+  restamp path;
+  check Alcotest.bool "old-version snapshot rejected" true
+    (Snapshot.load path = None);
+  Sys.remove path;
+  let trace = Run.workload_trace ~seed:11 ~scale:1 "fsstress" in
+  let checkpoint_every = max 1 (Array.length trace.Trace.events / 5) in
+  let plain_store, plain_stats = Import.run trace in
+  ignore (Durable.import ~dir ~checkpoint_every trace);
+  List.iter
+    (fun (_, name) -> restamp (Filename.concat dir name))
+    (Snapshot.snapshots ~dir);
+  let r = Durable.recover ~dir in
+  check Alcotest.bool "recover trusts no old snapshot" true
+    (r.Durable.r_snapshot = None && not r.Durable.r_complete);
+  let store, stats, progress = Durable.import ~dir ~checkpoint_every trace in
+  check Alcotest.int "re-imported from the start" 0
+    progress.Durable.pr_resumed_from;
+  check Alcotest.bool "stats identical" true (plain_stats = stats);
+  check Alcotest.string "rules identical" (mined plain_store) (mined store)
 
 let test_manifest_roundtrip () =
   with_dir "lockdoc_manifest" @@ fun dir ->
@@ -554,6 +592,8 @@ let () =
             test_snapshot_corruption;
           Alcotest.test_case "oversized length rejected" `Quick
             test_snapshot_oversized_length;
+          Alcotest.test_case "old version rejected" `Quick
+            test_snapshot_old_version;
           Alcotest.test_case "manifest" `Quick test_manifest_roundtrip;
         ] );
       ( "store",

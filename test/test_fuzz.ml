@@ -93,6 +93,24 @@ let test_corruption_recovery () =
       done)
     (Lazy.force traces)
 
+(* The fast streaming reader must agree with the validating per-line
+   reader on every corrupted trace: same events, same diagnostics (kind,
+   file, line, message), in both modes. *)
+let test_reader_equivalence () =
+  List.iter
+    (fun (name, trace) ->
+      let lines = Trace.to_lines trace in
+      for seed = 0 to n_seeds - 1 do
+        let lines', ops = Corrupt.corrupt ~seed lines in
+        match Reader_check.compare_contents (Reader_check.lines_contents lines') with
+        | [] -> ()
+        | diffs ->
+            Alcotest.failf "%s/seed %d [%s]: %s" name seed
+              (String.concat "; " (List.map Corrupt.describe ops))
+              (String.concat "\n" diffs)
+      done)
+    (Lazy.force traces)
+
 (* ---- Binary-format corruption family ------------------------------
 
    The packed (LDOCBIN1) form gets its own matrix: segment truncation,
@@ -205,6 +223,9 @@ let () =
           Alcotest.test_case
             (Printf.sprintf "corruption recovery (%d seeds)" n_seeds)
             `Slow test_corruption_recovery;
+          Alcotest.test_case
+            (Printf.sprintf "fast reader = validating reader (%d seeds)" n_seeds)
+            `Slow test_reader_equivalence;
           Alcotest.test_case
             (Printf.sprintf "binary corruption recovery (%d seeds)" n_seeds)
             `Slow test_binary_corruption;

@@ -839,17 +839,31 @@ let test_server_sealing_state_machine () =
 
 (* The same seal on a real analysis domain: while the derivation runs,
    the engine keeps answering other connections — the whole point of
-   taking the seal off the loop. *)
+   taking the seal off the loop. The spawned job waits on a latch until
+   the interim state has been checked: the server drains finished jobs
+   right after handing one over, so a seal that finished first would
+   reply inline. *)
 let test_server_seal_async_serves_meanwhile () =
   let trace = Lazy.force pipe_trace in
   let lines = Trace.to_lines trace in
   let total = List.length lines in
   let spawned = ref [] in
-  let srv =
-    Server.create ~runner:(fun f -> spawned := Pool.spawn f :: !spawned) ()
+  let latch = Atomic.make false in
+  let release () = Atomic.set latch true in
+  let runner f =
+    let held () =
+      while not (Atomic.get latch) do
+        Unix.sleepf 0.001
+      done;
+      f ()
+    in
+    spawned := Pool.spawn held :: !spawned
   in
+  let srv = Server.create ~runner () in
   Fun.protect
-    ~finally:(fun () -> List.iter (fun j -> ignore (Pool.await j)) !spawned)
+    ~finally:(fun () ->
+      release ();
+      List.iter (fun j -> ignore (Pool.await j)) !spawned)
     (fun () ->
       let cid, _ = connect srv ~now:0.0 "big" in
       stream_all srv ~now:0.0 cid ~start:0 lines;
@@ -857,6 +871,7 @@ let test_server_seal_async_serves_meanwhile () =
         (send srv ~now:0.0 cid (Proto.Seal { rows = total }));
       check Alcotest.string "sealing meanwhile" "sealing"
         (session_view srv "big").Server.v_state;
+      release ();
       (* A second client is served while the domain grinds. *)
       let other, outs = Server.accept srv ~now:0.0 in
       expect_silent "accept" outs;

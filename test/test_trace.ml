@@ -412,6 +412,178 @@ let prop_nasty_trace_roundtrip =
       && Array.length back.Trace.events = List.length events
       && List.for_all2 Event.equal events (Array.to_list back.Trace.events))
 
+(* {2 Streaming save and the fast reader} *)
+
+module Run = Lockdoc_ksim.Run
+
+let family_traces =
+  lazy
+    (List.map (fun name -> (name, Run.workload_trace ~seed:11 name)) Run.workload_names
+    @ [
+        ( "mix",
+          fst
+            (Run.benchmark_mix
+               ~config:{ Run.default_config with Run.scale = 1 }
+               ()) );
+      ])
+
+let nasty_trace =
+  lazy
+    (let gen =
+       QCheck.Gen.list_size (QCheck.Gen.return 200) nasty_event_gen
+     in
+     mk_trace (QCheck.Gen.generate1 ~rand:(Random.State.make [| 7 |]) gen))
+
+let test_save_is_to_lines () =
+  List.iter
+    (fun (name, t) ->
+      let path = Filename.temp_file "lockdoc_save" ".trace" in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove path)
+        (fun () ->
+          Trace.save path t;
+          let saved = In_channel.with_open_bin path In_channel.input_all in
+          check Alcotest.bool (name ^ ": save = to_lines") true
+            (saved = Reader_check.lines_contents (Trace.to_lines t))))
+    (("nasty", Lazy.force nasty_trace) :: Lazy.force family_traces)
+
+let expect_same name contents =
+  match Reader_check.compare_contents contents with
+  | [] -> ()
+  | diffs -> Alcotest.failf "%s: %s" name (String.concat "\n" diffs)
+
+let test_reader_matches_families () =
+  List.iter
+    (fun (name, t) ->
+      let contents = Reader_check.lines_contents (Trace.to_lines t) in
+      (* The mix's lines straddle the reader's 64 KiB refills many times. *)
+      if name = "mix" then
+        check Alcotest.bool "mix spans chunks" true
+          (String.length contents > 16 * 65536);
+      expect_same name contents)
+    (Lazy.force family_traces)
+
+(* Lines the fast path must hand to the validating path, and lines it
+   takes itself, mixed: escapes, separators in names and files, the two
+   subclass markers, odd ints, wrong arities and enum spellings. *)
+let hand_lines =
+  [
+    "T\t" ^ Layout.to_string example_layout;
+    "T\t" ^ Layout.to_string example_layout;
+    "T\tbad layout";
+    "A\t4096\t16\tthing\t-";
+    "A\t4096\t16\tthing\t\\-";
+    "A\t4096\t16\tth;i,ng\tsub;cl,ass";
+    "A\t4096\t16\tth\\ting\t\\\\";
+    "A\t4096\t16\tthing";
+    "A\t4096\t16\tthing\t-\textra";
+    "M\t4100\t4\tr\tfs/a;b,c.c:12";
+    "M\t4100\t4\tw\tfs/a\\tb.c:12";
+    "M\t4100\t4\tw\ta:b:7";
+    "M\t4100\t4\tw\tf.c:-3";
+    "M\t4100\t4\tw\tf.c:007";
+    "M\t4100\t4\tw\tf.c:";
+    "M\t4100\t4\tw\t:5";
+    "M\t4100\t4\tw\tnocolon";
+    "M\t4100\t4\tx\tf.c:1";
+    "M\t4100\t4\tr\tf.c:1\r";
+    "M\t0x10\t4\tr\tf.c:1";
+    "F\t+5";
+    "F\t1_000";
+    "F\t-";
+    "F\t";
+    "F\t-0";
+    "F\t007";
+    "F\t123456789012345678";
+    "F\t1234567890123456789";
+    "F\t99999999999999999999";
+    "L+\t5\tspinlock\tx\tlo\\,ck\tf\\:g.c:7";
+    "L+\t5\tSpinlock\tx\tl\tf.c:7";
+    "L+\t5\tsemaphore\ts\tl\tf.c:7";
+    "L+\t5\tspinlock\ty\tl\tf.c:7";
+    "L-\t5\tf.c:8";
+    "L-\t5";
+    "L\t5\tf.c:8";
+    "LL\t5\tf.c:8";
+    "L+";
+    "E\tfn\\twith\\ttabs\tf.c:1";
+    "E\tf\tf.c:1\t";
+    "X\tfn\\;semi";
+    "X";
+    "X\t";
+    "C\t1\ttask";
+    "C\t1\tTask";
+    "C\t-7\thardirq";
+    "Z\tfoo";
+    "";
+    "\t";
+    "M\t4100\t4\tr\tf.c:1";
+  ]
+
+let test_reader_matches_hand_written () =
+  expect_same "hand-written" (Reader_check.lines_contents hand_lines);
+  (* No newline after the last line. *)
+  expect_same "no final newline" (String.concat "\n" hand_lines);
+  expect_same "empty file" "";
+  (* Lines longer than the reader's 64 KiB buffer make it grow: one the
+     fast path takes, one it hands on (an escape), one it rejects, and a
+     last one without a newline. *)
+  let long = String.make 200_000 'f' in
+  expect_same "long lines"
+    (String.concat "\n"
+       [
+         "E\t" ^ long ^ "\tf.c:1";
+         "M\t4100\t4\tr\tf.c:1";
+         "X\t" ^ long ^ "\\t";
+         "Z\t" ^ long;
+         "X\t" ^ long;
+       ]);
+  expect_same "nasty identifiers"
+    (Reader_check.lines_contents (Trace.to_lines (Lazy.force nasty_trace)))
+
+let test_reader_matches_corrupt () =
+  List.iter
+    (fun (name, t) ->
+      let lines = Trace.to_lines t in
+      for seed = 0 to 2 do
+        let lines', _ = Corrupt.corrupt ~seed lines in
+        expect_same
+          (Printf.sprintf "%s/seed %d" name seed)
+          (Reader_check.lines_contents lines')
+      done)
+    [ ("sample", mk_trace sample_events) ]
+
+let test_reader_shares_locs () =
+  let _, t = List.hd (Lazy.force family_traces) in
+  Reader_check.with_file (Reader_check.lines_contents (Trace.to_lines t))
+  @@ fun path ->
+  let back, _ = Trace.read path in
+  let first = Hashtbl.create 64 in
+  let shared = ref 0 in
+  Array.iter
+    (fun ev ->
+      let loc =
+        match ev with
+        | Event.Lock_acquire { loc; _ }
+        | Event.Lock_release { loc; _ }
+        | Event.Mem_access { loc; _ }
+        | Event.Fun_enter { loc; _ } ->
+            Some loc
+        | _ -> None
+      in
+      Option.iter
+        (fun loc ->
+          let key = Srcloc.to_string loc in
+          match Hashtbl.find_opt first key with
+          | None -> Hashtbl.replace first key loc
+          | Some l ->
+              if l != loc then
+                Alcotest.failf "two Srcloc values for %s" key;
+              incr shared)
+        loc)
+    back.Trace.events;
+  check Alcotest.bool "locations repeat" true (!shared > 0)
+
 let () =
   Alcotest.run "trace"
     [
@@ -440,11 +612,20 @@ let () =
           Alcotest.test_case "sink order" `Quick test_sink_order;
           Alcotest.test_case "lines roundtrip" `Quick test_trace_lines_roundtrip;
           Alcotest.test_case "save/load" `Quick test_trace_save_load;
+          Alcotest.test_case "save = to_lines" `Quick test_save_is_to_lines;
         ] );
       ( "reader",
         [
           Alcotest.test_case "bad file carries location" `Quick
             test_load_reports_file_and_line;
+          Alcotest.test_case "fast = validating, families" `Quick
+            test_reader_matches_families;
+          Alcotest.test_case "fast = validating, hand-written" `Quick
+            test_reader_matches_hand_written;
+          Alcotest.test_case "fast = validating, corrupted" `Quick
+            test_reader_matches_corrupt;
+          Alcotest.test_case "shared source locations" `Quick
+            test_reader_shares_locs;
           Alcotest.test_case "lenient classification" `Quick
             test_lenient_reader_classifies;
           qtest prop_nasty_trace_roundtrip;

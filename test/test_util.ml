@@ -223,6 +223,39 @@ let prop_pool_matches_sequential =
       let f (a, b) = List.init (a mod 5) (fun i -> i + b) in
       Pool.map ~jobs f items = List.map f items)
 
+(* Items slow enough that the calling domain stops working alone and
+   spawns the other workers: results stay in order, the lowest failing
+   index still wins, and another domain really runs items — the
+   caller's first item past index 200 waits (up to 5 s) until one has. *)
+let test_pool_spawns_for_slow_items () =
+  let spin s =
+    let t = Unix.gettimeofday () in
+    while Unix.gettimeofday () -. t < s do
+      Domain.cpu_relax ()
+    done
+  in
+  let caller = Domain.self () in
+  let other_ran = Atomic.make false and waited = Atomic.make false in
+  let f x =
+    if Domain.self () <> caller then Atomic.set other_ran true
+    else if x >= 200 && not (Atomic.exchange waited true) then begin
+      let t = Unix.gettimeofday () in
+      while (not (Atomic.get other_ran)) && Unix.gettimeofday () -. t < 5. do
+        Domain.cpu_relax ()
+      done
+    end;
+    spin 50e-6;
+    x
+  in
+  let items = List.init 400 Fun.id in
+  check (Alcotest.list Alcotest.int) "in order" items (Pool.map ~jobs:4 f items);
+  check Alcotest.bool "another domain ran items" true (Atomic.get other_ran);
+  match
+    Pool.map ~jobs:4 (fun x -> if x >= 300 && x mod 7 = 3 then raise (Boom x) else f x) items
+  with
+  | _ -> Alcotest.fail "expected Boom"
+  | exception Boom p -> check Alcotest.int "lowest failing index" 304 p
+
 let test_pool_job_result () =
   let j = Pool.spawn (fun () -> List.init 100 Fun.id |> List.fold_left ( + ) 0) in
   (* Poll until done — a Some from poll must agree with await, and a
@@ -399,6 +432,8 @@ let () =
             test_pool_exception_lowest_index;
           Alcotest.test_case "mapi/concat_map/map_array/init" `Quick
             test_pool_variants;
+          Alcotest.test_case "slow items spawn workers" `Quick
+            test_pool_spawns_for_slow_items;
           qtest prop_pool_order_preserved;
           qtest prop_pool_matches_sequential;
           Alcotest.test_case "detached job result" `Quick test_pool_job_result;
