@@ -103,7 +103,7 @@ let with_metrics path f =
       f ()
 
 let trace_file_arg =
-  Arg.(required & pos 0 (some string) None & info [] ~docv:"TRACE"
+  Arg.(required & pos 0 (some non_dir_file) None & info [] ~docv:"TRACE"
          ~doc:"Trace file produced by $(b,lockdoc trace).")
 
 let type_arg =
@@ -306,7 +306,7 @@ let unpack_cmd =
 
 let recover_cmd =
   let dir_arg =
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"DIR"
+    Arg.(required & pos 0 (some dir) None & info [] ~docv:"DIR"
            ~doc:"Durable directory written by $(b,lockdoc import --durable).")
   in
   let derive_arg =
@@ -1052,7 +1052,7 @@ let feed_cmd =
            ~doc:"Session to stream into (resumes if it already exists).")
   in
   let trace_opt_arg =
-    Arg.(value & pos 0 (some string) None & info [] ~docv:"TRACE"
+    Arg.(value & pos 0 (some non_dir_file) None & info [] ~docv:"TRACE"
            ~doc:"Trace file to stream (omit for --query/--shutdown).")
   in
   let query_arg =

@@ -100,10 +100,9 @@ let torn_append ~dir prng =
       let promised = 32 + Prng.int prng 200 in
       let got = Prng.int prng 8 in
       let b = Buffer.create 16 in
-      let hdr = Bytes.create 8 in
-      Bytes.set_int32_le hdr 0 (Int32.of_int promised);
-      Bytes.set_int32_le hdr 4 (Int32.of_int (Prng.int prng 0x3fffffff));
-      Buffer.add_bytes b hdr;
+      Buffer.add_string b
+        (Lockdoc_util.Frame.header ~len:promised
+           ~crc:(Prng.int prng 0x3fffffff));
       for _ = 1 to got do
         Buffer.add_char b (Char.chr (Prng.int prng 256))
       done;

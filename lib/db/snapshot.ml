@@ -1,10 +1,12 @@
 (* Atomic snapshots of import state, plus the durable directory's
-   manifest. A snapshot file is [magic][payload-length][crc32][payload]
+   manifest. A snapshot file is [magic] followed by one
+   {!Lockdoc_util.Frame} record (header, then the marshalled payload),
    written to a temp name and renamed into place; the manifest — also
    written atomically — is the commit point that ties a snapshot to a
    WAL position and a source-trace offset. *)
 
 module Obs = Lockdoc_obs.Obs
+module Frame = Lockdoc_util.Frame
 
 let c_saves = Obs.counter "snapshot.saves"
 let c_loads = Obs.counter "snapshot.loads"
@@ -62,10 +64,8 @@ let save ~dir p =
   let tmp = path ^ ".tmp" in
   Out_channel.with_open_bin tmp (fun oc ->
       Out_channel.output_string oc magic;
-      let hdr = Bytes.create 8 in
-      Bytes.set_int32_le hdr 0 (Int32.of_int (String.length blob));
-      Bytes.set_int32_le hdr 4 (Int32.of_int (Wal.crc32 blob));
-      Out_channel.output_bytes oc hdr;
+      Out_channel.output_string oc
+        (Frame.header ~len:(String.length blob) ~crc:(Frame.crc32 blob));
       Crashpoint.hit "snapshot.write";
       Out_channel.output_string oc blob;
       Out_channel.flush oc);
@@ -81,17 +81,17 @@ let load path =
         let m = really_input_string ic (String.length magic) in
         if m <> magic then None
         else
-          let hdr = really_input_string ic 8 in
-          let len = Int32.to_int (String.get_int32_le hdr 0) in
-          let crc =
-            Int32.to_int (String.get_int32_le hdr 4) land 0xFFFFFFFF
+          let len, crc =
+            Frame.parse_header (really_input_string ic Frame.header_bytes) 0
           in
-          (* A corrupt length must not turn into a huge allocation:
-             the blob can be no longer than what is left of the file. *)
+          (* A corrupt length must not turn into a huge allocation: the
+             blob can be no longer than what is left of the file. This,
+             not [Frame.max_len], is the bound — a large store's
+             snapshot outgrows 64 MiB. *)
           if len < 0 || len > in_channel_length ic - pos_in ic then None
           else
             let blob = really_input_string ic len in
-            if Wal.crc32 blob <> crc then None
+            if Frame.crc32 blob <> crc then None
             else Some (Marshal.from_string blob 0 : payload))
   with
   | Some _ as p ->

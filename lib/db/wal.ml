@@ -1,6 +1,6 @@
 (* Segmented, CRC-framed write-ahead log.
 
-   A record is [len:int32 LE][crc32:int32 LE][payload]; a segment file
+   A record is one {!Lockdoc_util.Frame}; a segment file
    "wal-%010d.seg" holds consecutive records starting at the LSN in its
    name. Readers treat any framing violation — short header, short
    payload, checksum mismatch, absurd length — as a torn tail and stop
@@ -8,6 +8,7 @@
    trusted, nothing after it is. *)
 
 module Obs = Lockdoc_obs.Obs
+module Frame = Lockdoc_util.Frame
 
 (* Durability metrics. [wal.flushes] counts channel flushes — the
    simulated-persistence equivalent of fsync; [wal.torn_tail] counts
@@ -18,25 +19,6 @@ let c_flushes = Obs.counter "wal.flushes"
 let c_rotations = Obs.counter "wal.rotations"
 let c_torn = Obs.counter "wal.torn_tail"
 let c_replayed = Obs.counter "wal.records_read"
-
-(* ---- CRC-32 (IEEE 802.3, reflected, poly 0xEDB88320) -------------- *)
-
-let crc_table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref n in
-         for _ = 0 to 7 do
-           c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
-         done;
-         !c))
-
-let crc32 s =
-  let table = Lazy.force crc_table in
-  let c = ref 0xFFFFFFFF in
-  String.iter
-    (fun ch -> c := table.((!c lxor Char.code ch) land 0xff) lxor (!c lsr 8))
-    s;
-  !c lxor 0xFFFFFFFF
 
 (* ---- Segment naming ----------------------------------------------- *)
 
@@ -129,15 +111,12 @@ let rotate w =
 let append w payload =
   Crashpoint.hit "wal.append";
   if w.w_seg_bytes >= w.w_segment_bytes then rotate w;
-  let len = String.length payload in
-  let hdr = Bytes.create 8 in
-  Bytes.set_int32_le hdr 0 (Int32.of_int len);
-  Bytes.set_int32_le hdr 4 (Int32.of_int (crc32 payload));
-  Buffer.add_bytes w.w_buf hdr;
-  Buffer.add_string w.w_buf payload;
+  let frame = Frame.encode payload in
+  let n = String.length frame in
+  Buffer.add_string w.w_buf frame;
   Obs.incr c_appends;
-  Obs.add c_bytes (8 + len);
-  w.w_seg_bytes <- w.w_seg_bytes + 8 + len;
+  Obs.add c_bytes n;
+  w.w_seg_bytes <- w.w_seg_bytes + n;
   w.w_lsn <- w.w_lsn + 1;
   w.w_pending <- w.w_pending + 1;
   if w.w_pending >= w.w_sync_every then flush w
@@ -148,57 +127,24 @@ let close w =
 
 (* ---- Reader ------------------------------------------------------- *)
 
-(* Longest record we will believe a header about. Anything larger is a
-   corrupt length field, not a record. *)
-let max_record = 1 lsl 26
-
 type parsed = {
   ps_records : (int * string) list;  (* (lsn, payload), ascending *)
   ps_torn : string option;  (* why parsing stopped, if it did *)
 }
 
 let parse_segment ~start content =
-  let n = String.length content in
-  let records = ref [] in
-  let lsn = ref start in
-  let pos = ref 0 in
-  let torn = ref None in
-  (try
-     while !pos < n do
-       if !pos + 8 > n then begin
-         torn := Some (Printf.sprintf "torn header at offset %d" !pos);
-         raise Exit
-       end;
-       let len = Int32.to_int (String.get_int32_le content !pos) in
-       let crc =
-         Int32.to_int (String.get_int32_le content (!pos + 4)) land 0xFFFFFFFF
-       in
-       if len < 0 || len > max_record then begin
-         torn :=
-           Some (Printf.sprintf "corrupt length %d at offset %d" len !pos);
-         raise Exit
-       end;
-       if !pos + 8 + len > n then begin
-         torn :=
-           Some
-             (Printf.sprintf "torn record at offset %d (%d of %d bytes)" !pos
-                (n - !pos - 8) len);
-         raise Exit
-       end;
-       let payload = String.sub content (!pos + 8) len in
-       if crc32 payload <> crc then begin
-         torn :=
-           Some
-             (Printf.sprintf "checksum mismatch at offset %d (lsn %d)" !pos
-                !lsn);
-         raise Exit
-       end;
-       records := (!lsn, payload) :: !records;
-       incr lsn;
-       pos := !pos + 8 + len
-     done
-   with Exit -> ());
-  { ps_records = List.rev !records; ps_torn = !torn }
+  let d = Frame.decoder () in
+  Frame.feed d content;
+  let rec go lsn records =
+    let stop torn = { ps_records = List.rev records; ps_torn = torn } in
+    match Frame.next d with
+    | Frame.Frame payload -> go (lsn + 1) ((lsn, payload) :: records)
+    | Frame.Awaiting -> stop (Frame.torn d)
+    | Frame.Damaged (Frame.Bad_crc _ as damage) ->
+        stop (Some (Printf.sprintf "%s (lsn %d)" (Frame.reason damage) lsn))
+    | Frame.Damaged damage -> stop (Some (Frame.reason damage))
+  in
+  go start []
 
 let read_file path = In_channel.with_open_bin path In_channel.input_all
 
@@ -267,12 +213,7 @@ let truncate_after ~dir ~lsn =
             Out_channel.with_open_bin tmp (fun oc ->
                 List.iter
                   (fun (_, payload) ->
-                    let hdr = Bytes.create 8 in
-                    Bytes.set_int32_le hdr 0
-                      (Int32.of_int (String.length payload));
-                    Bytes.set_int32_le hdr 4 (Int32.of_int (crc32 payload));
-                    Out_channel.output_bytes oc hdr;
-                    Out_channel.output_string oc payload)
+                    Out_channel.output_string oc (Frame.encode payload))
                   keep);
             Sys.rename tmp path
           end)

@@ -1,8 +1,7 @@
 (** Segmented, CRC-framed write-ahead log.
 
-    Records are opaque byte strings framed as
-    [len:int32 LE][crc32:int32 LE][payload] and appended to segment
-    files named [wal-<start-lsn>.seg]. LSNs are dense: record [n] of
+    Records are opaque byte strings, each one {!Lockdoc_util.Frame},
+    appended to segment files named [wal-<start-lsn>.seg]. LSNs are dense: record [n] of
     the log has LSN [n], and a segment's name carries the LSN of its
     first record.
 
@@ -10,9 +9,6 @@
     payloads, checksum mismatches and absurd length fields all mean the
     same thing — the process died mid-write — and everything before the
     first bad byte is trusted while nothing after it is. *)
-
-val crc32 : string -> int
-(** CRC-32 (IEEE 802.3). [crc32 "123456789" = 0xCBF43926]. *)
 
 (** {2 Writing} *)
 

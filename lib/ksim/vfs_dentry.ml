@@ -65,10 +65,15 @@ let d_lookup parent name_hash =
     List.find_opt
       (fun child ->
         Lock.spin_lock child.d_lock;
+        (* A child unlinked while we waited for its d_lock (the walk
+           runs over a snapshot of the list) is d_unhashed: a miss,
+           as in __d_lookup, or we would resurrect a dentry already
+           queued for freeing. *)
         let hit =
           ignore (Memory.read child.d_inst "d_parent");
           ignore (Memory.read child.d_inst "d_flags");
           Memory.read child.d_inst "d_name" = name_hash
+          && List.memq child parent.d_children
         in
         if hit then begin
           ignore (Memory.read child.d_inst "d_inode");

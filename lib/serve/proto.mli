@@ -1,6 +1,6 @@
 (** Serve protocol messages.
 
-    One {!Frame} = one message. Payloads are a tab-separated head line;
+    One {!Lockdoc_util.Frame} record = one message. Payloads are a tab-separated head line;
     a [Rows] frame additionally carries newline-separated trace rows
     (the exact lines of the trace text format — layout rows ["T\t…"]
     first, then event rows — so a trace file and a feed stream are the

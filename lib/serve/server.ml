@@ -31,6 +31,7 @@ module Event = Lockdoc_trace.Event
 module Layout = Lockdoc_trace.Layout
 module Import = Lockdoc_db.Import
 module Wal = Lockdoc_db.Wal
+module Frame = Lockdoc_util.Frame
 module Crashpoint = Lockdoc_db.Crashpoint
 module Dataset = Lockdoc_core.Dataset
 module Derivator = Lockdoc_core.Derivator
@@ -496,7 +497,7 @@ let accept t ~now =
     Hashtbl.replace t.conns id
       {
         c_id = id;
-        c_decoder = Frame.decoder ~max_frame:t.cfg.max_frame ();
+        c_decoder = Frame.decoder ~max_len:t.cfg.max_frame ();
         c_session = None;
         c_last_activity = now;
       };
@@ -1206,7 +1207,10 @@ let on_bytes t ~now cid bytes =
               match Proto.client_of_payload payload with
               | Ok msg -> outs := !outs @ handle_msg t c ~now msg
               | Error reason -> outs := !outs @ proto_error t c reason)
-          | Frame.Corrupt reason ->
+          | Frame.Damaged damage ->
+              (* A live stream is not read past damage of either kind:
+                 the client resumes on a new connection. *)
+              let reason = Frame.reason damage in
               Obs.incr c_garbled;
               detach t cid;
               outs :=

@@ -16,6 +16,7 @@
    instead of tearing down a connection. *)
 
 module Pool = Lockdoc_util.Pool
+module Frame = Lockdoc_util.Frame
 
 type sealed = { events : int; rules : string; violations : string }
 
@@ -270,7 +271,8 @@ let recv_msg fd dec =
         match Proto.server_of_payload p with
         | Ok m -> m
         | Error e -> raise (Error ("bad server frame: " ^ e)))
-    | Frame.Corrupt e -> raise (Error ("corrupt server stream: " ^ e))
+    | Frame.Damaged e ->
+        raise (Error ("corrupt server stream: " ^ Frame.reason e))
     | Frame.Awaiting ->
         let n = read_retry fd buf 0 (Bytes.length buf) in
         if n = 0 then raise End_of_file;
@@ -290,7 +292,8 @@ let poll_msgs fd dec =
         match Proto.server_of_payload p with
         | Ok m -> msgs := m :: !msgs
         | Error e -> raise (Error ("bad server frame: " ^ e)))
-    | Frame.Corrupt e -> raise (Error ("corrupt server stream: " ^ e))
+    | Frame.Damaged e ->
+        raise (Error ("corrupt server stream: " ^ Frame.reason e))
     | Frame.Awaiting -> (
         match Unix.select [ fd ] [] [] 0. with
         | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()

@@ -3,14 +3,10 @@ module Layout = Lockdoc_trace.Layout
 module Srcloc = Lockdoc_trace.Srcloc
 module Diag = Lockdoc_trace.Diag
 module Trace = Lockdoc_trace.Trace
-module Wal = Lockdoc_db.Wal
+module Frame = Lockdoc_util.Frame
 module Obs = Lockdoc_obs.Obs
 
 let magic = "LDOCBIN1"
-
-(* Same sanity bound as the WAL reader: a length field beyond this is
-   framing damage, not a real segment. *)
-let max_segment = 1 lsl 26
 
 let default_segment_bytes = 64 * 1024
 
@@ -76,13 +72,6 @@ let ctx_of_code = function
   | 2 -> Event.Hardirq
   | c -> failwith (Printf.sprintf "bad context code %d" c)
 
-let frame payload =
-  let b = Buffer.create (String.length payload + 8) in
-  Buffer.add_int32_le b (Int32.of_int (String.length payload));
-  Buffer.add_int32_le b (Int32.of_int (Wal.crc32 payload));
-  Buffer.add_string b payload;
-  Buffer.contents b
-
 (* ---- Encoder ------------------------------------------------------ *)
 
 type encoder = {
@@ -123,7 +112,7 @@ let reset_registers e =
 
 let rotate e =
   if Buffer.length e.buf > 0 then begin
-    e.emit (frame (Buffer.contents e.buf));
+    e.emit (Frame.encode (Buffer.contents e.buf));
     Buffer.clear e.buf;
     reset_registers e
   end
@@ -237,9 +226,8 @@ let encode_trace ?segment_bytes trace =
 type decoder = {
   mode : Trace.mode;
   file : string option;
-  mutable pending : string;  (* unconsumed input; valid from [off] *)
-  mutable off : int;
-  mutable seen_magic : bool;
+  mutable head : string;  (* the magic's bytes received so far *)
+  frames : Frame.decoder;  (* everything after the magic *)
   mutable dead : bool;  (* framing lost for good (bad magic / absurd length) *)
   table : (int, string) Hashtbl.t;
   mutable rev_events : Event.t list;  (* drained by [events] *)
@@ -253,9 +241,8 @@ let decoder ?(mode = Trace.Strict) ?file () =
   {
     mode;
     file;
-    pending = "";
-    off = 0;
-    seen_magic = false;
+    head = "";
+    frames = Frame.decoder ();
     dead = false;
     table = Hashtbl.create 256;
     rev_events = [];
@@ -433,55 +420,42 @@ let decode_payload d payload =
                 report d Diag.Malformed_field ("binary record: " ^ msg)))
   done
 
-let get_u32 s pos =
-  Int32.to_int (String.get_int32_le s pos) land 0xFFFFFFFF
+(* A corrupt segment is skipped and decoding goes on; a lost length
+   field ends the stream. *)
+let rec drain d =
+  match Frame.next d.frames with
+  | Frame.Awaiting -> ()
+  | Frame.Frame payload ->
+      Obs.incr c_segments;
+      decode_payload d payload;
+      drain d
+  | Frame.Damaged (Frame.Bad_crc { len; _ }) ->
+      report d Diag.Malformed_field
+        (Printf.sprintf "segment CRC mismatch (%d bytes skipped)" len);
+      drain d
+  | Frame.Damaged (Frame.Bad_length { len; _ }) ->
+      d.dead <- true;
+      report d Diag.Truncated_record
+        (Printf.sprintf "absurd segment length %d: torn or garbled frame" len)
 
 let feed d chunk =
   if d.finished then invalid_arg "Codec: decoder is finished";
-  if d.dead then ()  (* framing is lost; drop everything after the diag *)
-  else begin
-    d.pending <-
-      (if d.off = 0 then d.pending ^ chunk
-       else String.sub d.pending d.off (String.length d.pending - d.off) ^ chunk);
-    d.off <- 0;
-    let total = String.length d.pending in
-    let continue = ref true in
-    if not d.seen_magic then begin
-      if total - d.off >= String.length magic then
-        if String.sub d.pending d.off (String.length magic) = magic then begin
-          d.seen_magic <- true;
-          d.off <- d.off + String.length magic
-        end
-        else begin
-          d.dead <- true;
-          continue := false;
-          report d Diag.Malformed_field
-            "not a LDOCBIN1 binary trace (bad magic)"
-        end
-      else continue := false
-    end;
-    while !continue && (not d.dead) && total - d.off >= 8 do
-      let seg_len = Int32.to_int (String.get_int32_le d.pending d.off) in
-      let crc = get_u32 d.pending (d.off + 4) in
-      if seg_len < 0 || seg_len > max_segment then begin
+  (* Once dead, framing is lost: drop everything after the diag. *)
+  if not d.dead then begin
+    let m = String.length magic in
+    let take = min (String.length chunk) (m - String.length d.head) in
+    if take > 0 then begin
+      d.head <- d.head ^ String.sub chunk 0 take;
+      if String.length d.head = m && d.head <> magic then begin
         d.dead <- true;
-        report d Diag.Truncated_record
-          (Printf.sprintf "absurd segment length %d: torn or garbled frame"
-             seg_len)
+        report d Diag.Malformed_field
+          "not a LDOCBIN1 binary trace (bad magic)"
       end
-      else if total - d.off - 8 < seg_len then continue := false
-      else begin
-        let payload = String.sub d.pending (d.off + 8) seg_len in
-        d.off <- d.off + 8 + seg_len;
-        if Wal.crc32 payload <> crc then
-          report d Diag.Malformed_field
-            (Printf.sprintf "segment CRC mismatch (%d bytes skipped)" seg_len)
-        else begin
-          Obs.incr c_segments;
-          decode_payload d payload
-        end
-      end
-    done
+    end;
+    if d.head = magic then begin
+      Frame.feed d.frames ~off:take chunk;
+      drain d
+    end
   end
 
 let events d =
@@ -494,8 +468,10 @@ let layouts d = List.rev d.rev_layouts
 let finish d =
   if not d.finished then begin
     d.finished <- true;
-    let remaining = String.length d.pending - d.off in
-    if (not d.dead) && not d.seen_magic then
+    let remaining =
+      if d.head = magic then Frame.buffered d.frames else String.length d.head
+    in
+    if (not d.dead) && d.head <> magic then
       report d Diag.Truncated_record
         (Printf.sprintf "binary trace ends before the magic (%d bytes)"
            remaining)

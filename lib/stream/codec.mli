@@ -1,8 +1,7 @@
 (** The compact binary trace format ("LDOCBIN1").
 
     A packed trace is the 8-byte magic followed by CRC-protected
-    segments in the WAL record framing
-    ([len:int32 LE][crc32:int32 LE][payload], {!Lockdoc_db.Wal.crc32}).
+    segments, each one {!Lockdoc_util.Frame} record.
     A segment payload is a run of varint records: string-table entries
     (explicit ids, so a lost segment cannot shift later ids), layout
     rows, and events with delta-compressed pointers/lines and interned

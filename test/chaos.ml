@@ -15,7 +15,7 @@
 module Prng = Lockdoc_util.Prng
 module Server = Lockdoc_serve.Server
 module Proto = Lockdoc_serve.Proto
-module Frame = Lockdoc_serve.Frame
+module Frame = Lockdoc_util.Frame
 module Trace = Lockdoc_trace.Trace
 module Import = Lockdoc_db.Import
 module Crashpoint = Lockdoc_db.Crashpoint
@@ -425,10 +425,10 @@ let deliver_s2c st vc =
           while !drain do
             match Frame.next cl.dec with
             | Frame.Awaiting -> drain := false
-            | Frame.Corrupt reason ->
+            | Frame.Damaged damage ->
                 failwith
                   (Printf.sprintf "chaos(%s): client %d decoder corrupt: %s"
-                     (fault_name st.fault) cl.idx reason)
+                     (fault_name st.fault) cl.idx (Frame.reason damage))
             | Frame.Frame payload -> (
                 match Proto.server_of_payload payload with
                 | Ok msg ->

@@ -148,6 +148,34 @@ let test_checked_flags_reject () =
       [ "lint"; "fs_bench"; "--scale"; "huge" ];
       [ "lint"; "fs_bench"; "--seed"; "3.5" ];
       [ "profile"; "pipe"; "--jobs"; "0" ];
+      [ "derive"; "nonexistent.trace" ];
+      [ "import"; "nonexistent.trace" ];
+      [ "fsck"; "nonexistent.trace" ];
+      [ "violations"; "nonexistent.trace" ];
+      [ "check"; "nonexistent.trace" ];
+      [ "doc"; "nonexistent.trace" ];
+      [ "pack"; "nonexistent.trace" ];
+      [ "unpack"; "nonexistent.trace" ];
+      [ "feed"; "nonexistent.trace" ];
+      [ "fsck"; Filename.get_temp_dir_name () ];
+      [ "recover"; "nonexistent-dir" ];
+    ]
+
+(* A missing input is a one-line usage error naming the path, not an
+   uncaught [Sys_error] (exit 125) or, for recover, an empty state. *)
+let test_missing_input_diagnose () =
+  List.iter
+    (fun (args, path) ->
+      let code, _, err = run args in
+      let what = String.concat " " args in
+      (* 124: cmdliner's command-line error exit. *)
+      check Alcotest.int (what ^ ": usage error") 124 code;
+      check Alcotest.bool (what ^ ": names the path") true (contains err path);
+      check Alcotest.bool (what ^ ": no exception") false
+        (contains err "exception"))
+    [
+      ([ "derive"; "no-such.trace" ], "no-such.trace");
+      ([ "recover"; "no-such-dir" ], "no-such-dir");
     ]
 
 (* Rejections must be one-line diagnostics naming the flag, not a
@@ -333,6 +361,8 @@ let () =
             test_checked_flags_reject;
           Alcotest.test_case "checked flags diagnose" `Quick
             test_checked_flags_diagnose;
+          Alcotest.test_case "missing input diagnose" `Quick
+            test_missing_input_diagnose;
           Alcotest.test_case "replay rejects unknown workload" `Quick
             test_replay_unknown_workload;
           Alcotest.test_case "lint flags diagnose" `Quick

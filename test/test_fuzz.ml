@@ -15,7 +15,7 @@ module Check = Lockdoc_trace.Check
 module Diag = Lockdoc_trace.Diag
 module Corrupt = Lockdoc_trace.Corrupt
 module Import = Lockdoc_db.Import
-module Wal = Lockdoc_db.Wal
+module Frame = Lockdoc_util.Frame
 module Codec = Lockdoc_stream.Codec
 module Run = Lockdoc_ksim.Run
 module Dataset = Lockdoc_core.Dataset
@@ -127,13 +127,11 @@ let frame_bounds packed =
   let rec go off acc =
     if off + 8 > String.length packed then List.rev acc
     else
-      let len = Int32.to_int (String.get_int32_le packed off) in
+      let len, _ = Frame.parse_header packed off in
       if len <= 0 || off + 8 + len > String.length packed then List.rev acc
       else go (off + 8 + len) ((off, 8 + len) :: acc)
   in
   go 8 []
-
-let set_le32 b off v = Bytes.set_int32_le b off (Int32.of_int v)
 
 (* Cut strictly inside a frame: a torn tail, never a clean EOF. *)
 let op_truncate packed ~seed =
@@ -163,7 +161,8 @@ let op_garble_crc_fixed packed ~seed =
   let pos = start + 8 + ((seed * 13) mod len) in
   Bytes.set b pos (Char.chr (Char.code packed.[pos] lxor (1 lsl (seed mod 8))));
   let payload = Bytes.sub_string b (start + 8) len in
-  set_le32 b (start + 4) (Wal.crc32 payload);
+  Bytes.blit_string (Frame.header ~len ~crc:(Frame.crc32 payload)) 0 b start
+    Frame.header_bytes;
   (Bytes.to_string b, "garbled payload, CRC fixed up")
 
 let test_binary_corruption () =

@@ -470,6 +470,19 @@ let test_benchmark_mix_smoke () =
   let frees = Trace.count trace (function Event.Free _ -> true | _ -> false) in
   check Alcotest.bool "frees <= allocs" true (frees <= allocs)
 
+(* Seed 38 at scale 8 once raced shrink_dcache_sb: d_lookup took a
+   reference on a child already unlinked and queued for freeing, and a
+   later unlink of it was a use-after-free that aborted the run. *)
+let test_benchmark_mix_dcache_race () =
+  let config =
+    { Run.default_config with
+      Run.kernel = { Kernel.default_config with Kernel.seed = 38 };
+      Run.scale = 8 }
+  in
+  let trace, _ = Run.benchmark_mix ~config () in
+  check Alcotest.bool "seed 38 scale 8 completes" true
+    (Array.length trace.Trace.events > 100_000)
+
 let () =
   Alcotest.run "ksim"
     [
@@ -519,5 +532,9 @@ let () =
             test_irq_injection_pseudo_locks;
         ] );
       ( "benchmark mix",
-        [ Alcotest.test_case "smoke" `Slow test_benchmark_mix_smoke ] );
+        [
+          Alcotest.test_case "smoke" `Slow test_benchmark_mix_smoke;
+          Alcotest.test_case "dcache lookup vs shrink race" `Slow
+            test_benchmark_mix_dcache_race;
+        ] );
     ]

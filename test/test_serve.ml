@@ -2,10 +2,11 @@
 
    Layers under test, bottom up:
 
-   - [Frame]: incremental codec units plus the satellite differential
-     against the WAL segment reader — the wire protocol *is* the WAL
-     record discipline, so the same byte stream must parse identically
-     through both, including under byte-dribbling and torn tails.
+   - [Frame]: the shared CRC codec as the wire sees it, plus the
+     differential against the WAL segment reader — both are built on
+     {!Lockdoc_util.Frame}, so the same byte stream must parse
+     identically through both, including under byte-dribbling and torn
+     tails, while each keeps its own damage policy.
    - [Proto]: message round-trips and malformed-payload rejection.
    - [Server]: the sans-IO engine driven directly with virtual time —
      sequencing (nack / idempotent retransmit / seal-count guard),
@@ -26,7 +27,7 @@
      TCP — two sessions fed through the reconnect-capable client,
      follow-mode pushes, status query, shutdown. *)
 
-module Frame = Lockdoc_serve.Frame
+module Frame = Lockdoc_util.Frame
 module Proto = Lockdoc_serve.Proto
 module Server = Lockdoc_serve.Server
 module Sockserv = Lockdoc_serve.Sockserv
@@ -93,7 +94,7 @@ let drain d =
     match Frame.next d with
     | Frame.Frame p -> go (p :: acc)
     | Frame.Awaiting -> List.rev acc
-    | Frame.Corrupt reason -> Alcotest.failf "unexpected corrupt: %s" reason
+    | Frame.Damaged d -> Alcotest.failf "unexpected damage: %s" (Frame.reason d)
   in
   go []
 
@@ -125,32 +126,14 @@ let test_frame_chunked () =
         sample_payloads !got)
     [ 1; 2; 3; 7; String.length stream ]
 
-let test_frame_corrupt_latches () =
-  let f = Frame.encode "some payload" in
-  let bad = Bytes.of_string f in
-  (* Flip a payload bit: the CRC check must catch it. *)
-  Bytes.set bad (Frame.header_bytes + 3)
-    (Char.chr (Char.code (Bytes.get bad (Frame.header_bytes + 3)) lxor 0x40));
-  let d = Frame.decoder () in
-  Frame.feed d (Bytes.to_string bad);
-  (match Frame.next d with
-  | Frame.Corrupt _ -> ()
-  | _ -> Alcotest.fail "expected Corrupt after bit flip");
-  (* Latched: further valid bytes cannot resynchronise a live stream. *)
-  Frame.feed d (Frame.encode "valid");
-  (match Frame.next d with
-  | Frame.Corrupt _ -> ()
-  | _ -> Alcotest.fail "Corrupt must be permanent");
-  check Alcotest.bool "is_corrupt" true (Frame.is_corrupt d)
-
 let test_frame_length_ceiling () =
   (* A decoder with a lowered ceiling rejects a frame the default
      encoder happily produces — before buffering the payload. *)
-  let d = Frame.decoder ~max_frame:64 () in
+  let d = Frame.decoder ~max_len:64 () in
   Frame.feed d (Frame.encode (String.make 100 'y'));
   match Frame.next d with
-  | Frame.Corrupt _ -> ()
-  | _ -> Alcotest.fail "expected Corrupt for over-limit length"
+  | Frame.Damaged (Frame.Bad_length { len = 100; _ }) -> ()
+  | _ -> Alcotest.fail "expected Bad_length for over-limit length"
 
 (* ---- Satellite: frame decoder vs WAL segment reader --------------- *)
 
@@ -200,13 +183,15 @@ let test_frame_wal_torn_tail () =
       (wal_payloads parsed) frames;
     check Alcotest.bool
       (Printf.sprintf "cut=%d truncation is not corruption" cut)
-      false (Frame.is_corrupt d)
+      true
+      (Frame.next d = Frame.Awaiting)
   done
 
 let test_frame_wal_bitflip () =
   (* Damage inside the middle record: both parsers must deliver the
-     records before it, then flag the damage (decoder latches Corrupt;
-     WAL reader reports a torn/damaged tail and stops). *)
+     records before it, then flag the damage (the decoder reports a bad
+     checksum, which serve answers by closing the connection; the WAL
+     reader reports a damaged tail and stops). *)
   let stream = String.concat "" (List.map Frame.encode sample_payloads) in
   let first_two =
     String.length (Frame.encode (List.nth sample_payloads 0))
@@ -228,7 +213,7 @@ let test_frame_wal_bitflip () =
     match Frame.next d with
     | Frame.Frame p -> collect (p :: acc)
     | Frame.Awaiting -> Alcotest.fail "decoder must notice the bit flip"
-    | Frame.Corrupt _ -> List.rev acc
+    | Frame.Damaged _ -> List.rev acc
   in
   check
     (Alcotest.list Alcotest.string)
@@ -324,6 +309,37 @@ let expect_err_close label code = function
   | [ Server.Send (_, Proto.Err { code = c; _ }); Server.Close _ ] ->
       check Alcotest.string label code c
   | _ -> Alcotest.failf "%s: expected Err %s + Close" label code
+
+(* A payload bit flip garbles the connection: [Err garbled] and [Close],
+   after which the connection is gone and its later bytes — even whole,
+   valid frames — produce nothing. A lost length field is fatal to the
+   decoder itself: it latches and drops its buffer. *)
+let test_frame_corrupt_latches () =
+  let srv = Server.create () in
+  let now = 0.0 in
+  let cid, _ = Server.accept srv ~now in
+  let bad = Bytes.of_string (enc Proto.Ping) in
+  Bytes.set bad (Frame.header_bytes + 1)
+    (Char.chr (Char.code (Bytes.get bad (Frame.header_bytes + 1)) lxor 0x40));
+  expect_err_close "payload bit flip" "garbled"
+    (Server.on_bytes srv ~now cid (Bytes.to_string bad));
+  expect_silent "later bytes on the closed cid"
+    (Server.on_bytes srv ~now cid (enc Proto.Ping));
+  let cid, _ = Server.accept srv ~now in
+  expect_err_close "over-ceiling length" "garbled"
+    (Server.on_bytes srv ~now cid
+       (Frame.header ~len:(Server.default_config.max_frame + 1) ~crc:0));
+  let d = Frame.decoder () in
+  Frame.feed d (Frame.header ~len:(-1) ~crc:0);
+  let latched () =
+    match Frame.next d with
+    | Frame.Damaged (Frame.Bad_length _) -> true
+    | _ -> false
+  in
+  check Alcotest.bool "negative length" true (latched ());
+  Frame.feed d (Frame.encode "valid");
+  check Alcotest.bool "latched" true (latched ());
+  check Alcotest.int "buffer dropped" 0 (Frame.buffered d)
 
 let session_view srv id =
   match List.find_opt (fun v -> v.Server.v_id = id) (Server.sessions srv) with

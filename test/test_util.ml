@@ -1,5 +1,5 @@
 (* Unit and property tests for the utility kit: PRNG, statistics, growable
-   vectors and table rendering. *)
+   vectors, table rendering and the CRC frame codec. *)
 
 module Prng = Lockdoc_util.Prng
 module Stats = Lockdoc_util.Stats
@@ -7,6 +7,7 @@ module Vec = Lockdoc_util.Vec
 module Tablefmt = Lockdoc_util.Tablefmt
 module Fnv = Lockdoc_util.Fnv
 module Numarg = Lockdoc_util.Numarg
+module Frame = Lockdoc_util.Frame
 
 let check = Alcotest.check
 let qtest = QCheck_alcotest.to_alcotest
@@ -393,6 +394,266 @@ let test_table_width_mismatch () =
   Alcotest.check_raises "row width" (Invalid_argument "Tablefmt.add_row: width mismatch")
     (fun () -> Tablefmt.add_row t [ "only one" ])
 
+(* {2 Frame} *)
+
+let test_frame_crc32 () =
+  check Alcotest.int "IEEE check vector" 0xCBF43926 (Frame.crc32 "123456789");
+  check Alcotest.int "empty" 0 (Frame.crc32 "");
+  (* crc32 "a" has bit 31 set: on 64-bit OCaml it exceeds Int32.max_int,
+     so the [Int32.of_int] in the frame header truncates it to a
+     negative int32. The reader must mask it back ([land 0xFFFFFFFF]);
+     these vectors pin both halves of that contract. *)
+  check Alcotest.int "top-bit vector" 0xE8B7BE43 (Frame.crc32 "a");
+  check Alcotest.int "top-bit clear vector" 0x352441C2 (Frame.crc32 "abc")
+
+let test_frame_header () =
+  List.iter
+    (fun (len, crc) ->
+      let h = Frame.header ~len ~crc in
+      check Alcotest.int "8 bytes" Frame.header_bytes (String.length h);
+      check
+        (Alcotest.pair Alcotest.int Alcotest.int)
+        (Printf.sprintf "len %d crc %x" len crc)
+        (len, crc)
+        (Frame.parse_header ("xx" ^ h) 2))
+    [ (0, 0); (1, Frame.crc32 "a"); (-1, 0xFFFFFFFF); (Frame.max_len, 1) ];
+  let f = Frame.encode "abc" in
+  check Alcotest.string "encode = header ^ payload"
+    (Frame.header ~len:3 ~crc:(Frame.crc32 "abc") ^ "abc")
+    f
+
+(* Drain until [Awaiting] or a fatal damage; a bad checksum is recorded
+   and decoding goes on. Every outcome but the last consumes a header,
+   which bounds the loop even for a decoder that stops making progress. *)
+let drain_frames d =
+  let rec go fuel acc =
+    match Frame.next d with
+    | Frame.Awaiting -> List.rev acc
+    | Frame.Damaged (Frame.Bad_length _) as n -> List.rev (n :: acc)
+    | n when fuel = 0 -> List.rev (n :: acc)
+    | n -> go (fuel - 1) (n :: acc)
+  in
+  go (Frame.buffered d / Frame.header_bytes) []
+
+let test_frame_damage_policy () =
+  let good = Frame.encode "good" in
+  let bad = Bytes.of_string (Frame.encode "bad!") in
+  Bytes.set bad (Frame.header_bytes + 1) 'X';
+  let d = Frame.decoder () in
+  Frame.feed d (good ^ Bytes.to_string bad ^ good);
+  (match drain_frames d with
+  | [ Frame.Frame "good"; Frame.Damaged (Frame.Bad_crc { at; len = 4 });
+      Frame.Frame "good" ] ->
+      check Alcotest.int "bad frame offset" (String.length good) at
+  | _ -> Alcotest.fail "a bad checksum skips one frame and decoding goes on");
+  check Alcotest.(option string) "clean end" None (Frame.torn d);
+  (* An absurd length latches: the buffer is dropped and later bytes,
+     even whole frames, are ignored. *)
+  let d = Frame.decoder ~max_len:16 () in
+  let at_ceiling = String.make 16 'z' in
+  Frame.feed d (Frame.encode at_ceiling);
+  check Alcotest.bool "a frame at the ceiling passes" true
+    (Frame.next d = Frame.Frame at_ceiling);
+  Frame.feed d (good ^ Frame.encode (String.make 17 'y') ^ good);
+  (match drain_frames d with
+  | [ Frame.Frame "good"; Frame.Damaged (Frame.Bad_length { at; len = 17 }) ]
+    ->
+      check Alcotest.int "bad length offset" (24 + String.length good) at
+  | _ -> Alcotest.fail "an over-ceiling length is fatal");
+  check Alcotest.int "buffer dropped" 0 (Frame.buffered d);
+  Frame.feed d good;
+  check Alcotest.bool "latched" true
+    (match Frame.next d with
+    | Frame.Damaged (Frame.Bad_length _) -> true
+    | _ -> false);
+  (* The ceiling cannot be raised past [max_len]. *)
+  let d = Frame.decoder ~max_len:(2 * Frame.max_len) () in
+  Frame.feed d (Frame.header ~len:(Frame.max_len + 1) ~crc:0);
+  check Alcotest.bool "capped ceiling" true
+    (match Frame.next d with
+    | Frame.Damaged (Frame.Bad_length _) -> true
+    | _ -> false)
+
+let test_frame_torn () =
+  let f = Frame.encode "hello" in
+  (* Offsets count the whole stream, not the decoder's buffer. *)
+  let torn pieces =
+    let d = Frame.decoder () in
+    List.iter (fun p -> Frame.feed d p; ignore (drain_frames d)) pieces;
+    Frame.torn d
+  in
+  check Alcotest.(option string) "header" (Some "torn header at offset 13")
+    (torn [ f; "abc" ]);
+  check Alcotest.(option string) "record"
+    (Some "torn record at offset 26 (2 of 5 bytes)")
+    (torn [ f; f; String.sub f 0 10 ]);
+  check Alcotest.(option string) "whole" None (torn [ f; f ])
+
+(* Payloads drawn from edge cases (empty, top-bit crc, NUL bytes) and
+   random strings, some larger than the decoder's initial 4 KiB buffer so
+   it grows and compacts; a chunking; at most one damage. *)
+type damage_op =
+  | Clean
+  | Truncate of int
+  | Flip_header of int * int  (* frame, bit of its 64-bit header *)
+  | Flip_payload of int * int  (* frame, byte and bit seed *)
+
+let gen_frame_case =
+  let open QCheck.Gen in
+  let payload =
+    frequency
+      [
+        (1, oneofl [ ""; "a"; "abc"; "\000\000\000" ]);
+        (3, string_size ~gen:char (int_bound 300));
+        (1, string_size ~gen:char (int_range 3000 6000));
+      ]
+  in
+  let damage =
+    frequency
+      [
+        (1, return Clean);
+        (1, map (fun n -> Truncate n) nat);
+        (1, map2 (fun f b -> Flip_header (f, b)) nat (int_bound 63));
+        (1, map2 (fun f b -> Flip_payload (f, b)) nat nat);
+      ]
+  in
+  triple (list_size (int_bound 8) payload)
+    (list_size (int_range 1 4) (int_range 1 2048))
+    damage
+
+let show_damage = function
+  | Clean -> "clean"
+  | Truncate n -> Printf.sprintf "truncate %d" n
+  | Flip_header (f, b) -> Printf.sprintf "flip header %d bit %d" f b
+  | Flip_payload (f, b) -> Printf.sprintf "flip payload %d bit %d" f b
+
+let decode_chunked stream chunks =
+  let d = Frame.decoder () in
+  let out = ref [] and off = ref 0 and sizes = ref chunks in
+  let fatal () =
+    match List.rev !out with
+    | Frame.Damaged (Frame.Bad_length _) :: _ -> true
+    | _ -> false
+  in
+  while !off < String.length stream && not (fatal ()) do
+    (* Cycle through the chunk sizes. *)
+    let c = List.hd !sizes in
+    sizes := List.tl !sizes @ [ c ];
+    let len = min c (String.length stream - !off) in
+    Frame.feed d ~off:!off ~len stream;
+    off := !off + len;
+    out := !out @ drain_frames d
+  done;
+  (d, !out)
+
+let rec is_subsequence xs ys =
+  match (xs, ys) with
+  | [], _ -> true
+  | _, [] -> false
+  | x :: xs', y :: ys' ->
+      if x = y then is_subsequence xs' ys' else is_subsequence xs ys'
+
+let prop_frame_decoder =
+  QCheck.Test.make ~count:1000
+    ~name:"Frame decoder: clean, truncated and bit-flipped streams"
+    (QCheck.make
+       ~print:(fun (ps, cs, dmg) ->
+         Printf.sprintf "payloads [%s] chunks [%s] %s"
+           (String.concat "; " (List.map String.escaped ps))
+           (String.concat "; " (List.map string_of_int cs))
+           (show_damage dmg))
+       gen_frame_case)
+    (fun (payloads, chunks, damage) ->
+      let frames = List.map Frame.encode payloads in
+      let stream = String.concat "" frames in
+      let starts =
+        List.fold_left
+          (fun (pos, acc) f -> (pos + String.length f, pos :: acc))
+          (0, []) frames
+        |> snd |> List.rev
+      in
+      let flip pos bit =
+        let b = Bytes.of_string stream in
+        Bytes.set b pos (Char.chr (Char.code stream.[pos] lxor (1 lsl bit)));
+        Bytes.to_string b
+      in
+      let whole s = snd (decode_chunked s [ max_int ]) in
+      let frames_of outs =
+        List.filter_map (function Frame.Frame p -> Some p | _ -> None) outs
+      in
+      let all_frames outs =
+        List.for_all (function Frame.Frame _ -> true | _ -> false) outs
+      in
+      let input, check_outcome =
+        match damage with
+        | Truncate n when stream <> "" ->
+            let cut = n mod String.length stream in
+            ( String.sub stream 0 cut,
+              fun d outs ->
+                (* Exactly the whole frames of the prefix, then Awaiting. *)
+                let complete =
+                  List.filteri
+                    (fun i f -> List.nth starts i + String.length f <= cut)
+                    frames
+                in
+                let torn =
+                  let last = List.length complete in
+                  let at = List.nth starts last in
+                  if cut = at then None
+                  else if cut - at < Frame.header_bytes then
+                    Some (Printf.sprintf "torn header at offset %d" at)
+                  else
+                    Some
+                      (Printf.sprintf "torn record at offset %d (%d of %d bytes)"
+                         at (cut - at - Frame.header_bytes)
+                         (String.length (List.nth payloads last)))
+                in
+                all_frames outs
+                && List.map Frame.encode (frames_of outs) = complete
+                && Frame.torn d = torn )
+        | Flip_header (f, bit) when payloads <> [] ->
+            let k = f mod List.length payloads in
+            ( flip (List.nth starts k + (bit / 8)) (bit mod 8),
+              fun _ outs ->
+                (* The frames before the damaged one arrive intact, then
+                   the damage shows (or the stream ends torn) before any
+                   further frame; nothing that was not sent is yielded. *)
+                let before l = List.filteri (fun i _ -> i < k) l in
+                let ok = frames_of outs in
+                before outs = List.map (fun p -> Frame.Frame p) (before payloads)
+                && (match List.nth_opt outs k with
+                   | None | Some (Frame.Damaged _) -> true
+                   | Some _ -> false)
+                && is_subsequence ok payloads
+                && List.length ok < List.length payloads )
+        | Flip_payload (f, bit) when List.exists (( <> ) "") payloads ->
+            let nonempty =
+              List.filter (fun i -> List.nth payloads i <> "")
+                (List.init (List.length payloads) Fun.id)
+            in
+            let k = List.nth nonempty (f mod List.length nonempty) in
+            let len = String.length (List.nth payloads k) in
+            let at = List.nth starts k in
+            ( flip (at + Frame.header_bytes + (bit mod len)) (bit mod 8),
+              fun d outs ->
+                (* A bad checksum skips exactly the damaged frame. *)
+                outs
+                = List.mapi
+                    (fun i p ->
+                      if i = k then Frame.Damaged (Frame.Bad_crc { at; len })
+                      else Frame.Frame p)
+                    payloads
+                && Frame.torn d = None )
+        | _ ->
+            ( stream,
+              fun d outs ->
+                outs = List.map (fun p -> Frame.Frame p) payloads
+                && Frame.buffered d = 0 && Frame.torn d = None )
+      in
+      let d, outs = decode_chunked input chunks in
+      (* Chunking never changes the outcome. *)
+      outs = whole input && check_outcome d outs)
+
 let () =
   Alcotest.run "util"
     [
@@ -454,6 +715,14 @@ let () =
           Alcotest.test_case "positive" `Quick test_numarg_positive;
           Alcotest.test_case "non-negative" `Quick test_numarg_non_negative;
           Alcotest.test_case "fraction" `Quick test_numarg_fraction;
+        ] );
+      ( "frame",
+        [
+          Alcotest.test_case "crc32" `Quick test_frame_crc32;
+          Alcotest.test_case "header" `Quick test_frame_header;
+          Alcotest.test_case "damage policy" `Quick test_frame_damage_policy;
+          Alcotest.test_case "torn reasons" `Quick test_frame_torn;
+          qtest prop_frame_decoder;
         ] );
       ( "tablefmt",
         [
